@@ -281,6 +281,9 @@ def main(argv=None) -> int:
     except ResourceExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: instance too large ({type(exc).__name__})", file=sys.stderr)
+        return EXIT_EXHAUSTED
     except (InstanceParseError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -8,12 +8,14 @@ width is the maximum of |boundary(V_i)| and |S_i| over all nodes.
 Balanced separators are found the standard FPT way: enumerate the trace
 {S_W, X_W, Y_W} of the separator on the target set W, then complete each trace
 with a minimum X-Y vertex cut computed by unit-capacity max-flow on the
-vertex-split graph.
+vertex-split graph.  A trace can only be completed when no edge joins X_W and
+Y_W, so for each S_W only the balanced unions of components of G[W - S_W] are
+tried.  The residual flow network is built once per search; each trace runs
+max-flow on a fresh copy of its capacity array.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -80,149 +82,181 @@ class SeparatorDecomposition:
 _COST_BASE = 1 << 20  # cardinality dominates; per-vertex costs only break ties
 
 
-def _min_vertex_cut(graph: Graph, removed, x_set, y_set, budget, costs=None):
-    """Smallest vertex set (disjoint from x/y) cutting X from Y in G - removed.
+class _CutNetwork:
+    """Vertex-split residual network of a graph, built once per separator search.
 
-    Returns (cut, reachable_vertices) or None when every cut exceeds ``budget``
-    vertices.  With ``costs`` given, ties between minimum-cardinality cuts are
-    broken toward vertices of smaller cost.
+    Vertex v becomes in-node 2v and out-node 2v + 1 joined by arc 2v; source arcs
+    (2n + 2v) and sink arcs (4n + 2v) exist for every vertex at capacity 0, and
+    each edge adds two out-to-in arcs of capacity ``big``.  Arc k and its
+    residual partner sit at k and k ^ 1.  A query copies the capacities, closes
+    the vertex arcs of the removed vertices and opens those of X and Y.
     """
-    alive = [v for v in range(graph.n) if v not in removed]
-    index = {v: i for i, v in enumerate(alive)}
-    unit = _COST_BASE if costs is not None else 1
-    cost_cap = _COST_BASE // (graph.n + 2)
-    big = unit * (graph.n + 5)
-    node_count = 2 * len(alive) + 2
-    src = node_count - 2
-    snk = node_count - 1
-    adj = [[] for _ in range(node_count)]
 
-    def add_arc(a, b, cap):
-        adj[a].append([b, cap, len(adj[b])])
-        adj[b].append([a, 0, len(adj[a]) - 1])
+    __slots__ = ("n", "head", "arcs", "cap", "unit", "big")
 
-    for v in alive:
-        i = index[v]
-        if v in x_set or v in y_set:
-            cap = big
-        elif costs is None:
-            cap = 1
-        else:
-            cap = unit + min(max(int(costs[v]), 0), cost_cap)
-        add_arc(2 * i, 2 * i + 1, cap)
-    for u, w in graph.edges:
-        if u in removed or w in removed:
-            continue
-        add_arc(2 * index[u] + 1, 2 * index[w], big)
-        add_arc(2 * index[w] + 1, 2 * index[u], big)
-    for v in x_set:
-        add_arc(src, 2 * index[v], big)
-    for v in y_set:
-        add_arc(2 * index[v] + 1, snk, big)
+    def __init__(self, graph: Graph, costs=None):
+        n = graph.n
+        self.n = n
+        self.unit = unit = _COST_BASE if costs is not None else 1
+        cost_cap = _COST_BASE // (n + 2)
+        self.big = big = unit * (n + 5)
+        src, snk = 2 * n, 2 * n + 1
+        self.head = head = []
+        self.cap = cap = []
+        self.arcs = arcs = [[] for _ in range(2 * n + 2)]
 
-    flow = 0
-    flow_limit = budget * unit + (unit - 1)  # any heavier flow needs > budget vertices
-    while flow <= flow_limit:
-        parent = [None] * node_count
-        parent[src] = (src, -1)
-        queue = deque([src])
-        while queue and parent[snk] is None:
-            a = queue.popleft()
-            for idx, arc in enumerate(adj[a]):
-                if arc[1] > 0 and parent[arc[0]] is None:
-                    parent[arc[0]] = (a, idx)
-                    queue.append(arc[0])
-        if parent[snk] is None:
-            break
-        bottleneck = big
-        b = snk
-        while b != src:
-            a, idx = parent[b]
-            bottleneck = min(bottleneck, adj[a][idx][1])
-            b = a
-        b = snk
-        while b != src:
-            a, idx = parent[b]
-            arc = adj[a][idx]
-            arc[1] -= bottleneck
-            adj[arc[0]][arc[2]][1] += bottleneck
-            b = a
-        flow += bottleneck
-    if flow > flow_limit:
-        return None
+        def add_arc(a, b, c):
+            arcs[a].append(len(head))
+            head.append(b)
+            cap.append(c)
+            arcs[b].append(len(head))
+            head.append(a)
+            cap.append(0)
 
-    reach = [False] * node_count
-    reach[src] = True
-    queue = deque([src])
-    while queue:
-        a = queue.popleft()
-        for arc in adj[a]:
-            if arc[1] > 0 and not reach[arc[0]]:
-                reach[arc[0]] = True
-                queue.append(arc[0])
-    cut = frozenset(v for v in alive if reach[2 * index[v]] and not reach[2 * index[v] + 1])
-    if len(cut) > budget:
-        return None
-    reachable = frozenset(v for v in alive if reach[2 * index[v]] and v not in cut)
-    return cut, reachable
+        for v in range(n):
+            add_arc(2 * v, 2 * v + 1, 1 if costs is None else unit + min(max(int(costs[v]), 0), cost_cap))
+        for v in range(n):
+            add_arc(src, 2 * v, 0)
+        for v in range(n):
+            add_arc(2 * v + 1, snk, 0)
+        for u, w in graph.edges:
+            add_arc(2 * u + 1, 2 * w, big)
+            add_arc(2 * w + 1, 2 * u, big)
+
+    def min_cut(self, removed, x_w, y_w, budget):
+        """Smallest vertex set (disjoint from X/Y) cutting X from Y in G - removed.
+
+        Returns (cut, reachable_vertices) or None when every cut exceeds
+        ``budget`` vertices.  With costs, ties between minimum-cardinality cuts
+        are broken toward vertices of smaller cost.  The cut is the source
+        side's boundary in the final residual graph, which is the same for
+        every maximum flow.  Removed vertices carry no flow, so they only add
+        dead-end in-nodes.
+        """
+        n, head, arcs, big = self.n, self.head, self.arcs, self.big
+        cap = self.cap.copy()
+        for v in removed:
+            cap[2 * v] = 0
+        for v in x_w:
+            cap[2 * v] = big
+            cap[2 * n + 2 * v] = big
+        for v in y_w:
+            cap[2 * v] = big
+            cap[4 * n + 2 * v] = big
+        src, snk = 2 * n, 2 * n + 1
+        flow = 0
+        flow_limit = budget * self.unit + (self.unit - 1)  # any heavier flow needs > budget vertices
+        while True:
+            via = [-1] * (2 * n + 2)  # arc that first reached each node
+            via[src] = -2
+            queue = [src]
+            for a in queue:
+                for k in arcs[a]:
+                    if cap[k]:
+                        b = head[k]
+                        if via[b] == -1:
+                            via[b] = k
+                            queue.append(b)
+                if via[snk] != -1:
+                    break
+            else:
+                break  # the search exhausted every reachable node: the flow is maximum
+            bottleneck = big
+            b = snk
+            while b != src:
+                k = via[b]
+                bottleneck = min(bottleneck, cap[k])
+                b = head[k ^ 1]
+            b = snk
+            while b != src:
+                k = via[b]
+                cap[k] -= bottleneck
+                cap[k ^ 1] += bottleneck
+                b = head[k ^ 1]
+            flow += bottleneck
+            if flow > flow_limit:
+                return None
+        cut = []
+        reachable = []
+        for v in range(n):
+            if via[2 * v] != -1 and v not in removed:
+                (reachable if via[2 * v + 1] != -1 else cut).append(v)
+        if len(cut) > budget:
+            return None
+        return frozenset(cut), frozenset(reachable)
 
 
-def _components(graph: Graph):
-    seen = [False] * graph.n
+def _components(graph: Graph, vertices):
+    """Connected components of G[vertices], ordered by their smallest vertex."""
+    inside = set(vertices)
+    seen = set()
     comps = []
-    for start in range(graph.n):
-        if seen[start]:
+    for start in sorted(inside):
+        if start in seen:
             continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
+        seen.add(start)
+        comp = [start]
+        for v in comp:
             for u in graph.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
+                if u in inside and u not in seen:
+                    seen.add(u)
+                    comp.append(u)
         comps.append(frozenset(comp))
     return comps
 
 
-def _component_split(graph: Graph, w_sorted):
-    """An empty separator splitting W across connected components, if balance allows."""
-    comps = _components(graph)
-    w_set = set(w_sorted)
-    counts = [len(c & w_set) for c in comps]
-    if sum(1 for c in counts if c) < 2:
+def _component_split(graph: Graph, separator, w_set) -> Optional[BalancedSeparator]:
+    """Split W across the components of G - separator, or None if balance fails.
+
+    A subset-sum over the components' W-counts keeps the first witness subset
+    found for each reachable sum; the smallest feasible sum is chosen.
+    """
+    rest = w_set - separator
+    if not rest:
         return None
+    comps = _components(graph, (v for v in range(graph.n) if v not in separator))
     total = len(w_set)
-    lo = -(-total // 3)  # ceil(total/3): both sides <= 2/3 total
-    hi = 2 * total // 3
-    # subset-sum over component counts, tracking one witness subset
     witness = {0: ()}
-    for i, c in enumerate(counts):
-        new = {}
-        for t, sub in witness.items():
-            if t + c not in witness and t + c not in new and t + c <= total:
-                new[t + c] = sub + (i,)
-        witness.update(new)
-    choice = None
-    for t in range(lo, hi + 1):
-        if t in witness and 0 < t < total:
-            choice = witness[t]
-            break
+    for i, comp in enumerate(comps):
+        c = len(comp & w_set)
+        for t, sub in list(witness.items()):
+            if t + c not in witness:
+                witness[t + c] = sub + (i,)
+    lo = max(1, len(rest) - 2 * total // 3)
+    hi = min(2 * total // 3, len(rest) - 1)
+    choice = next((witness[t] for t in range(lo, hi + 1) if t in witness), None)
     if choice is None:
         return None
-    chosen = set(choice)
-    x_side = frozenset().union(*(comps[i] for i in chosen))
-    y_side = frozenset(v for v in range(graph.n) if v not in x_side)
+    x_side = frozenset().union(*(comps[i] for i in choice))
+    y_side = frozenset(v for v in range(graph.n) if v not in separator and v not in x_side)
     return BalancedSeparator(
         w_set=frozenset(w_set),
-        separator=frozenset(),
+        separator=frozenset(separator),
         x_w=frozenset(x_side & w_set),
         y_w=frozenset(y_side & w_set),
         x_side=x_side,
         y_side=y_side,
     )
+
+
+def _balanced_splits(graph: Graph, rest, limit):
+    """The (X_W, Y_W) splits of ``rest`` with no X-Y edge and 3|X_W|, 3|Y_W| <= limit.
+
+    No edge crosses exactly when Y_W is a union of components of G[rest]; X_W
+    keeps the anchor rest[0], so its component never joins Y_W.  Splits come in
+    ascending order of Y_W's bitmask over rest[1:].
+    """
+    bit = {v: 1 << i for i, v in enumerate(rest[1:])}
+    y_max = limit // 3
+    y_min = max(1, len(rest) - y_max)
+    choices = [(0, 0)]  # (Y_W bitmask, |Y_W|)
+    for comp in _components(graph, rest)[1:]:  # [0] holds the anchor, the smallest vertex
+        mask = sum(bit[v] for v in comp)
+        size = len(comp)
+        choices += [(m | mask, k + size) for m, k in choices if k + size <= y_max]
+    for mask in sorted(m for m, k in choices if k >= y_min):
+        y_w = frozenset(v for v in rest[1:] if bit[v] & mask)
+        yield frozenset(rest) - y_w, y_w
 
 
 def balanced_separator(
@@ -236,10 +270,14 @@ def balanced_separator(
 ) -> Optional[BalancedSeparator]:
     """Find a balanced W-separator of size at most s_max, or None.
 
-    Enumerates {S_W, X_W, Y_W} partitions of W (smallest S_W first, then
-    lexicographic) and completes each with a minimum X-Y vertex cut; the first
-    acceptable partition wins.  A trivial empty separator between connected
-    components is taken before any flow search unless disabled.
+    Enumerates traces {S_W, X_W, Y_W} of W (smallest S_W first, S_W in
+    lexicographic order, then Y_W's bitmask ascending) and completes each with a
+    minimum X-Y vertex cut; the first acceptable trace wins.  Only traces with no
+    X-Y edge can be completed, so for each S_W the candidates are the unions of
+    components of G[W - S_W] that are balanced.  One residual flow network serves
+    the whole search; each candidate runs max-flow on a copy of its capacities.
+    A trivial empty separator between connected components is taken before any
+    flow search unless disabled.
 
     With ``vertex_costs``, the accepted separator is post-processed by local
     search (dropping redundant vertices, swapping vertices for cheaper
@@ -253,41 +291,29 @@ def balanced_separator(
     limit = 2 * total  # balance: 3|X|,3|Y| <= 2|W|
 
     if component_fast_path:
-        comp_split = _component_split(graph, w_sorted)
+        comp_split = _component_split(graph, frozenset(), frozenset(w_sorted))
         if comp_split is not None:
             return comp_split
 
-    neighbor = graph.neighbors
+    network = _CutNetwork(graph, vertex_costs)
     for s_size in range(min(s_max, total - 2) + 1):
         for s_w in combinations(w_sorted, s_size):
-            s_w_set = set(s_w)
+            s_w_set = frozenset(s_w)
             rest = [v for v in w_sorted if v not in s_w_set]
-            if len(rest) < 2:
-                continue
-            anchor, others = rest[0], rest[1:]
-            for mask in range(1 << len(others)):
-                x_w = {anchor}
-                y_w = set()
-                for i, v in enumerate(others):
-                    (y_w if mask >> i & 1 else x_w).add(v)
-                if not y_w or 3 * len(x_w) > limit or 3 * len(y_w) > limit:
-                    continue
-                if any(u in neighbor(v) for v in x_w for u in y_w):
-                    continue
-                got = _min_vertex_cut(graph, s_w_set, x_w, y_w, s_max - s_size, vertex_costs)
+            for x_w, y_w in _balanced_splits(graph, rest, limit):
+                got = network.min_cut(s_w_set, x_w, y_w, s_max - s_size)
                 if got is None:
                     continue
-                cut, reachable = got
-                separator = frozenset(s_w_set) | cut
-                x_side = reachable
+                cut, x_side = got
+                separator = s_w_set | cut
                 y_side = frozenset(
                     v for v in range(graph.n) if v not in separator and v not in x_side
                 )
                 found = BalancedSeparator(
                     w_set=frozenset(w_sorted),
                     separator=separator,
-                    x_w=frozenset(x_w),
-                    y_w=frozenset(y_w),
+                    x_w=x_w,
+                    y_w=y_w,
                     x_side=x_side,
                     y_side=y_side,
                 )
@@ -299,82 +325,6 @@ def balanced_separator(
 
 def _splits(sep: BalancedSeparator, region) -> bool:
     return sep.x_side & region != region and sep.y_side & region != region
-
-
-def _rebalanced(graph: Graph, separator, w_set) -> Optional[BalancedSeparator]:
-    """Rebuild a BalancedSeparator for a candidate vertex set, or None if unbalanced."""
-    rest = w_set - separator
-    if not rest:
-        return None
-    comps = _components_without(graph, separator)
-    total = len(w_set)
-    counts = [len(c & w_set) for c in comps]
-    witness = {0: ()}
-    for i, c in enumerate(counts):
-        for t, sub in list(witness.items()):
-            if t + c not in witness:
-                witness[t + c] = sub + (i,)
-    lo = max(1, len(rest) - 2 * total // 3)
-    hi = min(2 * total // 3, len(rest) - 1)
-    choice = None
-    for t in range(lo, hi + 1):
-        if t in witness:
-            choice = witness[t]
-            break
-    if choice is None:
-        return None
-    chosen = set(choice)
-    x_side = frozenset().union(*(comps[i] for i in chosen)) if chosen else frozenset()
-    y_side = frozenset(v for v in range(graph.n) if v not in separator and v not in x_side)
-    return BalancedSeparator(
-        w_set=frozenset(w_set),
-        separator=frozenset(separator),
-        x_w=frozenset(x_side & w_set),
-        y_w=frozenset(y_side & w_set),
-        x_side=x_side,
-        y_side=y_side,
-    )
-
-
-def _components_without(graph: Graph, removed):
-    seen = set(removed)
-    comps = []
-    for start in range(graph.n):
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in graph.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        comps.append(frozenset(comp))
-    return comps
-
-
-def _components_within(graph: Graph, region):
-    inside = set(region)
-    comps = []
-    seen = set()
-    for start in sorted(inside):
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in graph.neighbors(v):
-                if u in inside and u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        comps.append(frozenset(comp))
-    return comps
 
 
 def _improve_separator(graph: Graph, sep: BalancedSeparator, costs, must_split=None) -> BalancedSeparator:
@@ -391,7 +341,7 @@ def _improve_separator(graph: Graph, sep: BalancedSeparator, costs, must_split=N
     while improved:
         improved = False
         for v in sorted(current.separator, key=lambda v: -costs[v]):
-            smaller = _rebalanced(graph, current.separator - {v}, w_set)
+            smaller = _component_split(graph, current.separator - {v}, w_set)
             if ok(smaller):
                 current = smaller
                 improved = True
@@ -402,7 +352,7 @@ def _improve_separator(graph: Graph, sep: BalancedSeparator, costs, must_split=N
             for u in sorted(graph.neighbors(v)):
                 if u in current.separator or costs[u] >= costs[v]:
                     continue
-                swapped = _rebalanced(graph, current.separator - {v} | {u}, w_set)
+                swapped = _component_split(graph, current.separator - {v} | {u}, w_set)
                 if ok(swapped):
                     current = swapped
                     improved = True
@@ -464,7 +414,7 @@ def build_decomposition(
             return base_node(nid, parent, region)
 
         # a disconnected region splits for free, and child boundaries only shrink
-        comps = _components_within(graph, region)
+        comps = _components(graph, region)
         if len(comps) >= 2:
             x = comps[0]
             y = frozenset(region - comps[0])
@@ -513,7 +463,7 @@ def build_decomposition(
         order = sorted(region, key=lambda v: (-(vertex_costs[v] if vertex_costs else 0), v))
         for v in order:
             rest = frozenset(region - {v})
-            comps = _components_within(graph, rest)
+            comps = _components(graph, rest)
             x = comps[0] if len(comps) >= 2 else frozenset()
             y = frozenset(rest - x)
             if len(vertex_boundary(graph, x)) <= 6 * s and len(vertex_boundary(graph, y)) <= 6 * s:

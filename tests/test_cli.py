@@ -1,7 +1,10 @@
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import holant
 from holant.cli import EXIT_EXHAUSTED, EXIT_INVALID, EXIT_OK, main, parse_graph_spec
 
 
@@ -103,6 +106,23 @@ def test_resource_exhaustion_exit_code():
     text = model_text(["matchings", "--graph", "grid:4x5"])
     code, _ = run_cli(["exact", "--method", "brute"], stdin_text=text)
     assert code == EXIT_EXHAUSTED
+
+
+def test_deep_instance_exits_without_traceback(tmp_path):
+    # a 3000-vertex path is deeper than the interpreter's recursion limit for
+    # a recursive DP; the CLI must still end with a documented exit code
+    path = tmp_path / "path3000.holant"
+    code, _ = run_cli(["model", "matchings", "--graph", "path:3000", "-o", str(path)])
+    assert code == EXIT_OK
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(holant.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "holant.cli", "exact", "--method", "simple", str(path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode in (EXIT_OK, EXIT_EXHAUSTED)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == EXIT_EXHAUSTED:
+        assert proc.stderr.startswith("error: ")
 
 
 def test_threads_flag_validated():

@@ -1,21 +1,27 @@
+import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from holant import (
     Graph,
+    ModelSpec,
     ResourceExhaustedError,
     balanced_separator,
     build_decomposition,
+    build_model,
     complete_graph,
     cycle_graph,
     find_min_width,
     grid_graph,
     path_graph,
+    prism_graph,
     random_graph,
     validate,
 )
+from holant.exact import instance_decomposition
 from holant.sepdecomp import DecompositionNode, SeparatorDecomposition
 
 
@@ -50,6 +56,45 @@ def exhaustive_balanced_separator_exists(graph, w, size):
             if 0 < x and 0 < y and 3 * x <= 2 * len(w) and 3 * y <= 2 * len(w):
                 return True
     return False
+
+
+def reference_trace_search(graph, w, s_max):
+    """The trace search spelled out: every (S_W, X_W, Y_W) in search order, each
+    completed by brute force with the minimum cut whose X-side is smallest.
+
+    Returns (separator, x_w, y_w, x_side, y_side) of the first completed trace.
+    """
+    w_sorted = sorted(w)
+    total = len(w_sorted)
+    free = [v for v in range(graph.n) if v not in w]  # cut vertices lie outside W
+
+    def x_reach(x_w, removed):
+        side, stack = set(x_w), list(x_w)
+        while stack:
+            for u in graph.neighbors(stack.pop()):
+                if u not in removed and u not in side:
+                    side.add(u)
+                    stack.append(u)
+        return frozenset(side)
+
+    for s_size in range(min(s_max, total - 2) + 1):
+        for s_w in itertools.combinations(w_sorted, s_size):
+            rest = [v for v in w_sorted if v not in s_w]
+            others = rest[1:]  # rest[0] always stays in X_W
+            for mask in range(1, 1 << len(others)):
+                y_w = frozenset(v for i, v in enumerate(others) if mask >> i & 1)
+                x_w = frozenset(rest) - y_w
+                if 3 * len(x_w) > 2 * total or 3 * len(y_w) > 2 * total:
+                    continue
+                for k in range(s_max - s_size + 1):
+                    cuts = [(len(side), cut, side) for cut in itertools.combinations(free, k)
+                            for side in [x_reach(x_w, set(s_w) | set(cut))] if not side & y_w]
+                    if cuts:
+                        _, cut, x_side = min(cuts)
+                        separator = frozenset(s_w + cut)
+                        y_side = frozenset(range(graph.n)) - separator - x_side
+                        return separator, x_w, y_w, x_side, y_side
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +163,36 @@ def test_disconnected_fast_path():
     sep = balanced_separator(g, range(6), 2)
     assert sep is not None and not sep.separator
     assert {frozenset(sep.x_w), frozenset(sep.y_w)} == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
+
+
+def test_separator_differential_against_exhaustive_search():
+    # the trace search must find a separator exactly when one exists, and with
+    # the component fast path off it must return the reference's first trace
+    rng = random.Random(2024)
+    found = 0
+    for trial in range(100):
+        n = rng.randint(2, 9)
+        g = random_graph(n, rng.randint(0, min(2 * n, n * (n - 1) // 2)), seed=rng.randint(0, 10 ** 9))
+        w = frozenset(rng.sample(range(n), rng.randint(2, n)))
+        s_max = rng.randint(0, 3)
+        fast = rng.random() < 0.5
+        sep = balanced_separator(g, w, s_max, component_fast_path=fast)
+        exists = any(exhaustive_balanced_separator_exists(g, w, k) for k in range(s_max + 1))
+        assert (sep is not None) == exists, f"trial {trial}"
+        if not fast:
+            got = sep and (sep.separator, sep.x_w, sep.y_w, sep.x_side, sep.y_side)
+            assert got == reference_trace_search(g, w, s_max), f"trial {trial}"
+        if sep is None:
+            continue
+        found += 1
+        assert len(sep.separator) <= s_max, f"trial {trial}"
+        for side in (sep.x_side & w, sep.y_side & w):
+            assert 0 < len(side) and 3 * len(side) <= 2 * len(w), f"trial {trial}"
+        for u in sep.x_side:
+            assert not g.neighbors(u) & sep.y_side, f"trial {trial}"
+        assert not sep.x_side & sep.y_side and not sep.separator & (sep.x_side | sep.y_side)
+        assert sep.x_side | sep.y_side | sep.separator == frozenset(range(n)), f"trial {trial}"
+    assert 20 <= found <= 90  # both outcomes are exercised
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +293,20 @@ def test_deep_split_base_size():
     assert decomp is not None
     assert validate(g, decomp) is None
     assert decomp.width <= 18
+
+
+@pytest.mark.parametrize("kind, params, graph, s_expected, width, nodes, digest", [
+    ("matchings", {}, grid_graph(6, 6), 2, 8, 43,
+     "2d05397370792e694a8703edfed1beb8e41d0c880877c8651fd51fcad082995c"),
+    ("potts", {"q": 10, "beta": Fraction(1, 5)}, prism_graph(), 2, 4, 25,
+     "a6d86dffdb3f8164281ab8c20fd949d8d290def88de63f456152510178ddf613"),
+], ids=["grid6x6-matchings", "prism-potts"])
+def test_instance_decomposition_golden(kind, params, graph, s_expected, width, nodes, digest):
+    # pins the exact decomposition, so a faster separator search must find the
+    # same separators in the same order
+    decomp, s = instance_decomposition(build_model(ModelSpec(kind, params), graph))
+    assert (s, decomp.width, len(decomp.nodes)) == (s_expected, width, nodes)
+    assert hashlib.sha256(decomp.to_text().encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
