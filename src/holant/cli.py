@@ -210,12 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="holant",
         description="Exact and approximate counting for Holant problems with regular symmetric functions.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; solvers are safe for concurrent use but the CLI runs single-threaded",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="compute the Holant exactly")
@@ -273,9 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
     try:
         return args.func(args)
     except ResourceExhaustedError as exc:

@@ -5,7 +5,8 @@ at a node with children U1, U2 and separator S, the value Z(U, {phi_v}) is a sum
 over joint choices of peer images (one per core vertex per side) of
 Z0 * Z1 * Z2 * prod_v gtilde_v, where Z1/Z2 recurse into the children with the
 chosen peer images as boundary constraints and Z0 is a small Holant on the core
-solved by the simple DP.
+solved by the simple DP: an iterative forward sweep over vertex eliminations
+that keeps one layer of distinct states and drops the dead ones.
 
 Two equivalent term enumerations are provided.  The default ("folded") absorbs
 the core-side peer images into Z0 by pinning each core function with the chosen
@@ -28,7 +29,9 @@ from .symfun import (
     BooleanSymmetricFunction,
     SymmetricFunction,
     add_compositions,
+    composition_index,
     composition_of,
+    compositions,
     peer_partition,
     pin,
     worst_pair_count,
@@ -84,16 +87,15 @@ def brute_force_hol(instance: HolantInstance, cap_bits: Optional[int] = None) ->
 # ---------------------------------------------------------------------------
 # simple vertex-elimination dynamic program
 
-def _unit_compositions(q):
-    return tuple(tuple(1 if i == j else 0 for j in range(q)) for i in range(q))
-
-
 def _simple_dp(q, funcs, incident, endpoints) -> GaussianRational:
     """Eliminate vertices in descending index order, pinning lower neighbors.
 
     ``funcs[v]`` must have arity equal to v's degree in the given edge lists.
-    The DP state is the tuple of current (pinned) functions at the remaining
-    vertices; regularity keeps the number of reachable states per vertex small.
+    The forward sweep keeps one layer: a dict from each state, the tuple of
+    current (pinned, interned) functions at the vertices not yet eliminated,
+    to the summed weight of the partial assignments that reach it; regularity
+    keeps layers small.  A successor is dead, and dropped at once, when a newly
+    pinned function is identically zero.  No recursion depth grows with n.
     """
     n = len(funcs)
     lower = [[] for _ in range(n)]
@@ -103,34 +105,45 @@ def _simple_dp(q, funcs, incident, endpoints) -> GaussianRational:
             other = w if u == v else u
             if other < v:
                 lower[v].append(other)
-    units = _unit_compositions(q)
-    memo = {}
-
-    def z(k, state):
-        if k == 0:
-            return ONE
-        key = tuple(f.uid for f in state)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        v = k - 1
-        fv = state[v]
+    units = compositions(q, 1)[::-1]  # units[a]: one argument set to a
+    layer = {tuple(funcs): ONE}
+    for v in range(n - 1, -1, -1):
         neighbors = lower[v]
-        total = ZERO
-        for assign in product(range(q), repeat=len(neighbors)):
-            factor = fv.value_at(composition_of(q, assign))
-            if not factor:
-                continue
-            new_state = list(state[:v])
-            for other, val in zip(neighbors, assign):
-                new_state[other] = pin(new_state[other], units[val])
-            sub = z(v, tuple(new_state))
-            if sub:
-                total = total + factor * sub
-        memo[key] = total
-        return total
-
-    return z(n, tuple(funcs))
+        d = len(neighbors)
+        index = composition_index(q, d)
+        moves = []
+        for assign in product(range(q), repeat=d):
+            comp = composition_of(q, assign)
+            moves.append((index[comp], comp, tuple(zip(neighbors, [units[a] for a in assign]))))
+        live_moves = {}  # f_v -> its moves with a nonzero factor; None stands for ONE
+        nxt = {}
+        for state, weight in layer.items():
+            fv = state[v]
+            live = live_moves.get(fv)
+            if live is None:
+                live = []
+                for i, comp, pins in moves:
+                    factor = fv.table[i] if fv.d == d else fv.value_at(comp)  # value_at raises
+                    if factor is ONE:
+                        live.append((None, pins))
+                    elif factor is not ZERO and factor:
+                        live.append((factor, pins))
+                live_moves[fv] = live
+            head = state[:v]
+            for factor, pins in live:
+                succ = list(head)
+                for other, unit in pins:
+                    g = pin(succ[other], unit)
+                    if g.is_zero_function():
+                        break
+                    succ[other] = g
+                else:
+                    w = weight if factor is None else factor * weight
+                    succ = tuple(succ)
+                    got = nxt.get(succ)
+                    nxt[succ] = w if got is None else got + w
+        layer = nxt
+    return layer.get((), ZERO)
 
 
 def simple_dp_hol(instance: HolantInstance) -> GaussianRational:
@@ -513,19 +526,12 @@ class FptSolver:
 
     def _hol0_compute(self, node_id, h_funcs, key) -> GaussianRational:
         info = self._info[node_id]
-        if not info.h0_endpoints:
-            value = ONE
-            for f in h_funcs:
-                value = value * f.scalar()
-                if not value:
-                    break
-        else:
-            value = _simple_dp(
-                self.instance.q,
-                [h_funcs[i] for i in info.h0_order],
-                info.h0_incident,
-                info.h0_endpoints,
-            )
+        value = _simple_dp(
+            self.instance.q,
+            [h_funcs[i] for i in info.h0_order],
+            info.h0_incident,
+            info.h0_endpoints,
+        )
         self._z0_memo[key] = value
         self.stats.z0_entries += 1
         return value

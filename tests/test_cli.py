@@ -109,8 +109,8 @@ def test_resource_exhaustion_exit_code():
 
 
 def test_deep_instance_exits_without_traceback(tmp_path):
-    # a 3000-vertex path is deeper than the interpreter's recursion limit for
-    # a recursive DP; the CLI must still end with a documented exit code
+    # a 3000-vertex path is deeper than the interpreter's recursion limit; the
+    # simple DP is a loop per vertex, so a fresh CLI process solves it
     path = tmp_path / "path3000.holant"
     code, _ = run_cli(["model", "matchings", "--graph", "path:3000", "-o", str(path)])
     assert code == EXIT_OK
@@ -119,17 +119,9 @@ def test_deep_instance_exits_without_traceback(tmp_path):
         [sys.executable, "-m", "holant.cli", "exact", "--method", "simple", str(path)],
         capture_output=True, text=True, env=env, timeout=300,
     )
-    assert proc.returncode in (EXIT_OK, EXIT_EXHAUSTED)
     assert "Traceback" not in proc.stderr
-    if proc.returncode == EXIT_EXHAUSTED:
-        assert proc.stderr.startswith("error: ")
-
-
-def test_threads_flag_validated():
-    code, _ = run_cli(["--threads", "0", "gate", "colorings", "--q", "8", "--delta", "4"])
-    assert code == EXIT_INVALID
-    code, _ = run_cli(["--threads", "2", "gate", "colorings", "--q", "8", "--delta", "4"])
-    assert code == EXIT_OK
+    assert proc.returncode == EXIT_OK
+    assert any(line.startswith("value:") for line in proc.stdout.splitlines())
 
 
 def test_model_to_file_and_back(tmp_path):

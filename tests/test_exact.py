@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instance
 from holant import (
@@ -22,7 +24,8 @@ from holant import (
     simple_dp_hol,
 )
 from holant.exact import FptSolver, instance_decomposition
-from holant.symfun import SymmetricFunction
+from holant.symfun import SymmetricFunction, composition_count
+from holant.values import GaussianRational
 
 
 def matchings_instance(g):
@@ -96,6 +99,55 @@ def test_simple_dp_equals_brute_on_random():
     for _ in range(30):
         inst = random_instance(rng, max_n=6, max_edges=8)
         assert simple_dp_hol(inst) == brute_force_hol(inst)
+
+
+def test_simple_dp_deep_path_needs_no_recursion():
+    # matchings of the n-vertex path number F(n+1); 3000 eliminations are far
+    # deeper than the default recursion limit
+    a, b = 1, 1
+    for _ in range(3000):
+        a, b = b, a + b
+    assert simple_dp_hol(matchings_instance(path_graph(3000))) == a  # F(3001)
+
+
+# Differential property test: the three exact solvers on random instances.
+# Zero-heavy functions exercise the dead-state rule of the simple DP;
+# explicit tables bring in non-real Gaussian-rational values.
+
+DIFFERENTIAL = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+VALUES = st.one_of(
+    st.just(0),
+    SMALL_FRACTIONS,
+    st.builds(GaussianRational, SMALL_FRACTIONS, SMALL_FRACTIONS),
+)
+
+
+@st.composite
+def differential_instances(draw):
+    base = random_instance(random.Random(draw(st.integers(0, 2 ** 32 - 1))), max_n=6, max_edges=7)
+    q, g = base.q, base.graph
+    funcs = list(base.functions)
+    for v in range(g.n):
+        d = g.degree(v)
+        kind = draw(st.sampled_from(["base", "zero_heavy", "table"]))
+        if kind == "zero_heavy" and q == 2:
+            funcs[v] = builtin(draw(st.sampled_from(["at_most_one", "exact_one"])), 2, d)
+        elif kind == "zero_heavy":
+            weights = draw(st.lists(st.sampled_from([0, 0, 1, Fraction(2, 3)]), min_size=q, max_size=q))
+            funcs[v] = builtin("equality", q, d, weights=weights)
+        elif kind == "table":
+            size = composition_count(q, d)
+            funcs[v] = builtin("explicit_table", q, d,
+                               values=draw(st.lists(VALUES, min_size=size, max_size=size)))
+    return HolantInstance(g, q, funcs)
+
+
+@DIFFERENTIAL
+@given(differential_instances())
+def test_exact_solvers_agree_on_random_instances(inst):
+    decomp, _ = instance_decomposition(inst)
+    assert simple_dp_hol(inst) == brute_force_hol(inst) == fpt_hol(inst, decomp)
 
 
 # ---------------------------------------------------------------------------
