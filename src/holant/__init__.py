@@ -59,7 +59,6 @@ from .exact import (
 from .approx import (
     ApproxResult,
     RadiusPolicy,
-    edge_diameter,
     estimate_marginal,
     fptas_hol,
     marginal_distribution,

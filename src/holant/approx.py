@@ -12,7 +12,7 @@ conditional probabilities.
 
 from __future__ import annotations
 
-from collections import deque
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -23,7 +23,7 @@ from .errors import (
     InfeasibleInstanceError,
     InvalidArgumentError,
 )
-from .exact import FptSolver, instance_decomposition, simple_dp_hol
+from .exact import FptSolver, auto_hol, instance_decomposition
 from .graphcore import HolantInstance, edge_ball, restrict_instance
 from .values import GaussianRational
 
@@ -38,7 +38,6 @@ class RadiusPolicy:
     mode: str = "adaptive"
     r_fixed: Optional[int] = None
     delta_stab: Optional[Fraction] = None
-    r_cap: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in ("adaptive", "fixed"):
@@ -53,30 +52,14 @@ class RadiusPolicy:
         return RadiusPolicy(mode="fixed", r_fixed=r)
 
     @staticmethod
-    def adaptive(delta_stab: Optional[Fraction] = None, r_cap: Optional[int] = None) -> "RadiusPolicy":
-        return RadiusPolicy(mode="adaptive", delta_stab=delta_stab, r_cap=r_cap)
+    def adaptive(delta_stab: Optional[Fraction] = None) -> "RadiusPolicy":
+        return RadiusPolicy(mode="adaptive", delta_stab=delta_stab)
 
     @staticmethod
     def whole_graph() -> "RadiusPolicy":
-        """Fixed radius large enough to always cover the edge's whole component."""
+        """Fixed radius large enough to always cover the edge's whole component:
+        max(1, m), since every line-graph distance is below m."""
         return RadiusPolicy(mode="fixed", r_fixed=None)
-
-
-def edge_diameter(graph) -> int:
-    """Largest finite line-graph distance between edges (0 for <= 1 edge)."""
-    best = 0
-    for start in range(graph.m):
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for v in graph.endpoints(cur):
-                for nxt in graph.incident[v]:
-                    if nxt not in dist:
-                        dist[nxt] = dist[cur] + 1
-                        queue.append(nxt)
-        best = max(best, max(dist.values()))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +74,6 @@ def _values_real_nonnegative(instance) -> bool:
 def _model_kind(instance):
     spec = instance.model
     return getattr(spec, "kind", None)
-
-
-SEARCH_PLUGINS = (
-    "matchings", "perfect_matchings", "weighted_matchings",
-    "subgraphs_world", "ising", "potts", "colorings", "generic",
-)
 
 
 def tractable_search(
@@ -115,18 +92,13 @@ def tractable_search(
             raise InvalidArgumentError(f"partial assigns out-of-range edge {e}")
         if not 0 <= val < instance.q:
             raise InvalidArgumentError(f"partial value {val} outside domain [{instance.q}]")
-    kind = _model_kind(instance) if plugin in (None, "auto") else plugin
-    if kind == "generic":
-        return _complete_generic(instance, partial)
-    if kind == "matchings":
-        return _complete_matchings(instance, partial)
-    if kind in ("subgraphs_world", "ising", "weighted_matchings"):
-        return _complete_paired_incidence(instance, partial, kind)
-    if kind in ("potts", "colorings"):
-        return _complete_spin_incidence(instance, partial, kind)
-    if kind not in (None, "perfect_matchings") and plugin not in (None, "auto"):
-        raise InvalidArgumentError(f"unknown search plugin {plugin!r}")
-    return _complete_generic(instance, partial)
+    if plugin in (None, "auto"):
+        complete = SEARCH_PLUGINS.get(_model_kind(instance), _complete_generic)
+    else:
+        complete = SEARCH_PLUGINS.get(plugin)
+        if complete is None:
+            raise InvalidArgumentError(f"unknown search plugin {plugin!r}")
+    return complete(instance, partial)
 
 
 def _complete_matchings(instance, partial):
@@ -211,20 +183,13 @@ def _complete_spin_incidence(instance, partial, kind):
     return out
 
 
-def _auto_hol(instance) -> GaussianRational:
-    if instance.graph.n <= 14 and instance.q <= 4:
-        return simple_dp_hol(instance)
-    decomp, _ = instance_decomposition(instance)
-    return FptSolver(instance, decomp).holant()
-
-
 def _restricted_positive(instance, pins) -> bool:
     keep = [e for e in range(instance.graph.m) if e not in pins]
     sub = restrict_instance(instance, pins, keep)
     if not sub.scalar:
         return False
     subinst, _ = sub.as_instance()
-    return bool(_auto_hol(subinst))
+    return bool(auto_hol(subinst))
 
 
 def _complete_generic(instance, partial):
@@ -246,6 +211,20 @@ def _complete_generic(instance, partial):
         else:
             return None  # cannot happen after the positivity check above
     return pins
+
+
+# completion function per plugin name; a model kind not listed here falls
+# back to the generic search
+SEARCH_PLUGINS = {
+    "matchings": _complete_matchings,
+    "perfect_matchings": _complete_generic,
+    "weighted_matchings": functools.partial(_complete_paired_incidence, kind="weighted_matchings"),
+    "subgraphs_world": functools.partial(_complete_paired_incidence, kind="subgraphs_world"),
+    "ising": functools.partial(_complete_paired_incidence, kind="ising"),
+    "potts": functools.partial(_complete_spin_incidence, kind="potts"),
+    "colorings": functools.partial(_complete_spin_incidence, kind="colorings"),
+    "generic": _complete_generic,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +321,8 @@ def marginal_distribution(
         completion = tractable_search(instance, dict(cond), search_plugin)
         if completion is None:
             raise FailedPreconditionError("conditioning configuration is infeasible")
-    cap = policy.r_cap if policy.r_cap is not None else max(1, edge_diameter(g))
-
     if policy.mode == "fixed":
-        r = cap if policy.r_fixed is None else min(policy.r_fixed, cap)
+        r = max(1, g.m) if policy.r_fixed is None else policy.r_fixed
         dist, full = _ball_distribution(instance, e, cond, completion, r)
         return dist, MarginalReport(r_used=r, radii=(r,), full_cover=full)
 
@@ -355,31 +332,25 @@ def marginal_distribution(
     gaps = []
     small_gaps = 0
     r = 1
-    while True:
-        r_eff = min(r, cap)
-        dist, full = _ball_distribution(instance, e, cond, completion, r_eff)
-        radii.append(r_eff)
+    while True:  # ends by r = 2m at the latest: the ball then has no fringe
+        dist, full = _ball_distribution(instance, e, cond, completion, r)
+        radii.append(r)
         if full:
             # the ball covers everything not conditioned; the estimate is exact
             return dist, MarginalReport(
-                r_used=r_eff, radii=tuple(radii), gaps=tuple(gaps),
+                r_used=r, radii=tuple(radii), gaps=tuple(gaps),
                 stabilized=bool(gaps) and gaps[-1][1] <= delta, full_cover=True,
             )
         if prev is not None:
             gap = _tv_distance(dist, prev)
-            gaps.append((r_eff, gap))
+            gaps.append((r, gap))
             # one small gap can be an artifact of slow ball growth; demand two
             small_gaps = small_gaps + 1 if gap <= delta else 0
             if small_gaps >= 2:
                 return dist, MarginalReport(
-                    r_used=r_eff, radii=tuple(radii), gaps=tuple(gaps),
+                    r_used=r, radii=tuple(radii), gaps=tuple(gaps),
                     stabilized=True, full_cover=False,
                 )
-        if r_eff >= cap:
-            return dist, MarginalReport(
-                r_used=r_eff, radii=tuple(radii), gaps=tuple(gaps),
-                stabilized=False, full_cover=False,
-            )
         prev = dist
         r *= 2
 
@@ -449,7 +420,6 @@ def fptas_hol(
         policy = RadiusPolicy(
             mode="adaptive",
             delta_stab=eps / (8 * q * max(1, m)),
-            r_cap=policy.r_cap,
         )
     if tractable_search(instance, {}, search_plugin) is None:
         raise InfeasibleInstanceError("instance has no feasible configuration")

@@ -10,7 +10,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .approx import RadiusPolicy, fptas_hol
+from .approx import SEARCH_PLUGINS, RadiusPolicy, fptas_hol
 from .errors import (
     HolantError,
     InstanceParseError,
@@ -119,11 +119,9 @@ def _cmd_approx(args):
         policy = RadiusPolicy.fixed(int(args.radius.split(":", 1)[1]))
     else:
         raise InvalidArgumentError(f"unknown radius policy {args.radius!r}")
-    from .approx import SEARCH_PLUGINS
-
     if args.model_search != "auto" and args.model_search not in SEARCH_PLUGINS:
         raise InvalidArgumentError(
-            f"unknown search plugin {args.model_search!r}; choose auto or one of {SEARCH_PLUGINS}"
+            f"unknown search plugin {args.model_search!r}; choose auto or one of {tuple(SEARCH_PLUGINS)}"
         )
     t0 = time.perf_counter()
     result = fptas_hol(instance, Fraction(args.eps), policy, search_plugin=args.model_search)

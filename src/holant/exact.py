@@ -8,11 +8,12 @@ chosen peer images as boundary constraints and Z0 is a small Holant on the core
 solved by the simple DP: an iterative forward sweep over vertex eliminations
 that keeps one layer of distinct states and drops the dead ones.
 
-Two equivalent term enumerations are provided.  The default ("folded") absorbs
-the core-side peer images into Z0 by pinning each core function with the chosen
-child-side representatives, so only child-side images are enumerated; the
-"literal" path enumerates all three images per vertex exactly as the recursion
-is stated.  Both are cross-checked in the tests.
+The solver enumerates the terms in folded form: it absorbs the core-side peer
+images into Z0 by pinning each core function with the chosen child-side
+representatives, so only child-side images are enumerated, and pairs whose
+pinned function vanishes are skipped.  The literal three-image enumeration, as
+the recursion is stated, lives in ``oracle.literal_recursion_hol`` as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -181,17 +182,21 @@ def instance_decomposition(
 # ---------------------------------------------------------------------------
 # boundary-constrained sub-Holants
 
+def auto_hol(instance: HolantInstance) -> GaussianRational:
+    """Exact Holant: the simple DP on small instances, the FPT recursion otherwise."""
+    if instance.graph.n <= 14 and instance.q <= 4:
+        return simple_dp_hol(instance)
+    decomp, _ = instance_decomposition(instance)
+    return FptSolver(instance, decomp).holant()
+
+
 def hol_with_boundary(
-    instance: HolantInstance,
-    constraints: Mapping[int, BooleanSymmetricFunction],
-    *,
-    method: str = "auto",
-    dp_threshold: int = 16,
+    instance: HolantInstance, constraints: Mapping[int, BooleanSymmetricFunction]
 ) -> GaussianRational:
     """The Holant of ``instance`` with boolean constraints replacing boundary functions.
 
-    The constraint at vertex v must have arity deg(v).  Small instances go to
-    the simple DP; larger ones are decomposed and solved by the FPT recursion.
+    The constraint at vertex v must have arity deg(v); the result is ``auto_hol``
+    of the constrained instance.
     """
     g = instance.graph
     funcs = list(instance.functions)
@@ -204,11 +209,7 @@ def hol_with_boundary(
                 f"need (q={instance.q}, k={g.degree(v)})"
             )
         funcs[v] = phi.to_function()
-    constrained = HolantInstance(g, instance.q, funcs)
-    if method == "simple" or (method == "auto" and g.n <= dp_threshold and instance.q <= 4):
-        return simple_dp_hol(constrained)
-    decomp, _ = instance_decomposition(constrained)
-    return FptSolver(constrained, decomp).holant()
+    return auto_hol(HolantInstance(g, instance.q, funcs))
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +232,13 @@ class FptStats:
 
 
 class _NodeInfo:
-    __slots__ = ("core", "roles", "d0", "d1", "d2", "bd1_pos", "bd2_pos",
+    __slots__ = ("core", "roles", "d1", "d2", "bd1_pos", "bd2_pos",
                  "h0_incident", "h0_endpoints", "children", "h0_order")
 
-    def __init__(self, core, roles, d0, d1, d2, bd1_pos, bd2_pos,
+    def __init__(self, core, roles, d1, d2, bd1_pos, bd2_pos,
                  h0_incident, h0_endpoints, children, h0_order):
         self.core = core
         self.roles = roles
-        self.d0 = d0
         self.d1 = d1
         self.d2 = d2
         self.bd1_pos = bd1_pos
@@ -252,10 +252,11 @@ class _NodeInfo:
 _pairs_cache: dict = {}
 
 
-def _survivor_pairs(gv, d1, d2, skip_zero):
-    """Per-vertex peer-image pairs for the folded recursion, grouped by the
-    child-1 image; cached globally by (function, split)."""
-    key = (gv.uid, d1, d2, skip_zero)
+def _survivor_pairs(gv, d1, d2):
+    """Per-vertex peer-image pairs for the folded recursion whose pinned function
+    is not identically zero, grouped by the child-1 image; cached globally by
+    (function, split)."""
+    key = (gv.uid, d1, d2)
     got = _pairs_cache.get(key)
     if got is not None:
         return got
@@ -266,9 +267,8 @@ def _survivor_pairs(gv, d1, d2, skip_zero):
         inner = []
         for c2, r2 in zip(part2.classes, part2.representatives):
             h = pin(gv, add_compositions(r1, r2))
-            if skip_zero and h.is_zero_function():
-                continue
-            inner.append((c2, h))
+            if not h.is_zero_function():
+                inner.append((c2, h))
         if inner:
             by_c1.append((c1, tuple(inner)))
     got = tuple(by_c1)
@@ -279,38 +279,26 @@ def _survivor_pairs(gv, d1, d2, skip_zero):
 class FptSolver:
     """Memoized evaluator of the separator-decomposition recursion.
 
-    One solver instance precomputes the per-node structure for a fixed graph and
-    decomposition; ``holant`` may then be called repeatedly, optionally with a
-    few vertex functions overridden (pinned variants), sharing the memo table
-    across calls.
+    One solver instance validates and precomputes the per-node structure for a
+    fixed graph and decomposition; ``holant`` may then be called repeatedly,
+    optionally with a few vertex functions overridden (pinned variants),
+    sharing the memo tables across calls.  Overrides are call-local: memo keys
+    carry the uids of the overrides inside each node's region, and ``holant``
+    keeps no per-call state on the solver, so calls may run concurrently.  The
+    ``stats`` counters are not synchronised across threads.
     """
 
-    def __init__(
-        self,
-        instance: HolantInstance,
-        decomposition: SeparatorDecomposition,
-        *,
-        literal: bool = False,
-        skip_zero_terms: bool = True,
-        check_closure_membership: bool = False,
-        validate_decomposition: bool = True,
-    ):
-        if validate_decomposition:
-            err = validate(instance.graph, decomposition)
-            if err is not None:
-                raise InvalidArgumentError(f"invalid decomposition: {err}")
+    def __init__(self, instance: HolantInstance, decomposition: SeparatorDecomposition):
+        err = validate(instance.graph, decomposition)
+        if err is not None:
+            raise InvalidArgumentError(f"invalid decomposition: {err}")
         self.instance = instance
         self.dec = decomposition
-        self.literal = literal
-        self.skip_zero_terms = skip_zero_terms
-        self.check_closure = check_closure_membership
         self.stats = FptStats()
         self._memo = {}
         self._z0_memo = {}
         self._boundary = {}
         self._info = {}
-        self._overrides = {}
-        self._sig_cache = {}
         g = instance.graph
         for node in decomposition.nodes:
             self._boundary[node.id] = tuple(sorted(vertex_boundary(g, node.v_set)))
@@ -321,7 +309,6 @@ class FptSolver:
     def _build_info(self, node) -> _NodeInfo:
         g = self.instance.graph
         j, k = node.children
-        u_set = node.v_set
         s_set = node.s_set
         u1 = self.dec.nodes[j].v_set
         u2 = self.dec.nodes[k].v_set
@@ -329,21 +316,15 @@ class FptSolver:
         core = tuple(sorted(set(s_set) | set(bd)))
         pos = {v: i for i, v in enumerate(core)}
         roles = tuple(v in s_set for v in core)  # True: separator (keeps f_v)
-        d0 = [0] * len(core)
         d1 = [0] * len(core)
         d2 = [0] * len(core)
         h0_edges = []
         for i, v in enumerate(core):
-            in_u = roles[i]
             for u in g.neighbors(v):
-                if not in_u and u not in u_set:
-                    continue  # boundary-boundary and outward edges are not in H
                 if u in u1:
                     d1[i] += 1
                 elif u in u2:
                     d2[i] += 1
-                else:
-                    d0[i] += 1  # u is in S u dU (every H-neighbor outside U1, U2 is)
         for a, b in g.edges:
             if a in pos and b in pos and (a in s_set or b in s_set):
                 h0_edges.append((pos[a], pos[b]))
@@ -367,7 +348,7 @@ class FptSolver:
         for e_idx, (a, b) in enumerate(perm_edges):
             perm_incident[a].append(e_idx)
             perm_incident[b].append(e_idx)
-        return _NodeInfo(core, roles, tuple(d0), tuple(d1), tuple(d2),
+        return _NodeInfo(core, roles, tuple(d1), tuple(d2),
                          bd1_pos, bd2_pos, perm_incident, perm_edges, (j, k),
                          tuple(order))
 
@@ -376,94 +357,59 @@ class FptSolver:
     def holant(self, function_overrides: Optional[Mapping[int, SymmetricFunction]] = None) -> GaussianRational:
         """Z(V, {}) for the instance, with optional per-vertex function overrides."""
         g = self.instance.graph
-        self._overrides = {}
-        self._sig_cache = {}
+        funcs = list(self.instance.functions)
+        sigs = None  # node id -> (vertex, uid) of each override in its region
         if function_overrides:
             for v, f in function_overrides.items():
+                if not 0 <= v < g.n:
+                    raise InvalidArgumentError(f"override vertex {v} out of range")
                 if f.q != self.instance.q or f.d != g.degree(v):
                     raise InvalidArgumentError(f"override at vertex {v} has wrong shape")
-                self._overrides[v] = f
-        return self._z(self.dec.root.id, ())
+                funcs[v] = f
+            items = sorted(function_overrides.items())
+            sigs = {node.id: tuple((v, f.uid) for v, f in items if v in node.v_set)
+                    for node in self.dec.nodes}
+        return self._z(self.dec.root.id, (), funcs, sigs)
 
     # -- internals ----------------------------------------------------------
 
-    def _func(self, v) -> SymmetricFunction:
-        got = self._overrides.get(v)
-        return self.instance.functions[v] if got is None else got
-
-    def _sig(self, node_id):
-        if not self._overrides:
-            return ()
-        got = self._sig_cache.get(node_id)
-        if got is None:
-            v_set = self.dec.nodes[node_id].v_set
-            got = tuple((v, f.uid) for v, f in sorted(self._overrides.items()) if v in v_set)
-            self._sig_cache[node_id] = got
-        return got
-
-    def _z(self, node_id, phi) -> GaussianRational:
+    def _z(self, node_id, phi, funcs, sigs) -> GaussianRational:
         node = self.dec.nodes[node_id]
         if node.is_leaf():
             return ONE
-        key = (node_id, tuple(c.uid for c in phi), self._sig(node_id))
+        key = (node_id, tuple(c.uid for c in phi), sigs[node_id] if sigs else ())
         got = self._memo.get(key)
         if got is not None:
             return got
-        value = self._expand(node_id, phi)
+        value = self._expand(node_id, phi, funcs, sigs)
         self._memo[key] = value
         self.stats.memo_entries += 1
         return value
 
-    def _effective(self, node_id, phi):
-        """g_v for each core vertex: original (possibly overridden) in S, constraint on the boundary."""
+    def _expand(self, node_id, phi, funcs, sigs) -> GaussianRational:
         info = self._info[node_id]
-        bd = self._boundary[node_id]
-        bd_pos = {v: i for i, v in enumerate(bd)}
-        funcs = []
-        for i, v in enumerate(info.core):
-            if info.roles[i]:
-                funcs.append(self._func(v))
-            else:
-                constraint = phi[bd_pos[v]]
-                if self.check_closure:
-                    self._check_membership(v, constraint)
-                funcs.append(constraint.to_function())
-        return funcs
-
-    def _check_membership(self, v, constraint):
-        base = peer_partition(self._func(v), constraint.k)
-        for cls in base.classes:
-            inter = cls.members & constraint.members
-            if inter and inter != cls.members:
-                raise AssertionError(
-                    f"constraint at vertex {v} is not a union of base peer classes"
-                )
-
-    def _expand(self, node_id, phi) -> GaussianRational:
-        info = self._info[node_id]
-        q = self.instance.q
-        g_funcs = self._effective(node_id, phi)
         j, k = info.children
+        bd_pos = {v: i for i, v in enumerate(self._boundary[node_id])}
 
-        if self.literal:
-            return self._expand_literal(info, g_funcs, j, k)
-
-        # per core vertex: child-1 image choices, each with its surviving child-2 images
+        # per core vertex: g_v (f_v on the separator, the constraint on the
+        # boundary) and its child-1 image choices, each with its surviving
+        # child-2 images
         outer = []
-        for i in range(len(info.core)):
-            by_c1 = _survivor_pairs(g_funcs[i], info.d1[i], info.d2[i], self.skip_zero_terms)
+        for i, v in enumerate(info.core):
+            gv = funcs[v] if info.roles[i] else phi[bd_pos[v]].to_function()
+            by_c1 = _survivor_pairs(gv, info.d1[i], info.d2[i])
             if not by_c1:
                 return ZERO
             outer.append(by_c1)
 
         bd1_pos, bd2_pos = info.bd1_pos, info.bd2_pos
-        node2_prefix = (k, self._sig(k))
+        sig2 = sigs[k] if sigs else ()
         z_memo = self._memo
         z0_memo = self._z0_memo
         stats = self.stats
         total = ZERO
         for c1_joint in product(*outer):
-            z1 = self._z(j, tuple(c1_joint[p][0] for p in bd1_pos))
+            z1 = self._z(j, tuple(c1_joint[p][0] for p in bd1_pos), funcs, sigs)
             if not z1:
                 stats.terms += 1
                 continue
@@ -476,52 +422,12 @@ class FptSolver:
                 if not z0:
                     continue
                 key2 = tuple(c2_joint[p][0].uid for p in bd2_pos)
-                z2 = z_memo.get((k, key2, node2_prefix[1]))
+                z2 = z_memo.get((k, key2, sig2))
                 if z2 is None:
-                    z2 = self._z(k, tuple(c2_joint[p][0] for p in bd2_pos))
+                    z2 = self._z(k, tuple(c2_joint[p][0] for p in bd2_pos), funcs, sigs)
                 if not z2:
                     continue
                 total = total + z0 * z1 * z2
-        return total
-
-    def _expand_literal(self, info, g_funcs, j, k) -> GaussianRational:
-        choices = []
-        for i in range(len(info.core)):
-            gv = g_funcs[i]
-            part0 = peer_partition(gv, info.d0[i])
-            part1 = peer_partition(gv, info.d1[i])
-            part2 = peer_partition(gv, info.d2[i])
-            triples = []
-            for c0, r0 in zip(part0.classes, part0.representatives):
-                for c1, r1 in zip(part1.classes, part1.representatives):
-                    for c2, r2 in zip(part2.classes, part2.representatives):
-                        gtilde = gv.value_at(add_compositions(add_compositions(r0, r1), r2))
-                        if self.skip_zero_terms and not gtilde:
-                            continue
-                        triples.append((c0, c1, c2, gtilde))
-            if not triples:
-                return ZERO
-            choices.append(triples)
-
-        bd1_pos, bd2_pos = info.bd1_pos, info.bd2_pos
-        total = ZERO
-        for joint in product(*choices):
-            self.stats.terms += 1
-            weight = ONE
-            for t in joint:
-                weight = weight * t[3]
-            if not weight:
-                continue
-            z0 = self._hol0_boolean(info, tuple(t[0] for t in joint))
-            if not z0:
-                continue
-            z1 = self._z(j, tuple(joint[p][1] for p in bd1_pos))
-            if not z1:
-                continue
-            z2 = self._z(k, tuple(joint[p][2] for p in bd2_pos))
-            if not z2:
-                continue
-            total = total + weight * z0 * z1 * z2
         return total
 
     def _hol0_compute(self, node_id, h_funcs, key) -> GaussianRational:
@@ -536,15 +442,7 @@ class FptSolver:
         self.stats.z0_entries += 1
         return value
 
-    def _hol0_boolean(self, info, phi0) -> GaussianRational:
-        return _simple_dp(
-            self.instance.q,
-            [phi0[i].to_function() for i in info.h0_order],
-            info.h0_incident,
-            info.h0_endpoints,
-        )
 
-
-def fpt_hol(instance: HolantInstance, decomposition: SeparatorDecomposition, **kwargs) -> GaussianRational:
+def fpt_hol(instance: HolantInstance, decomposition: SeparatorDecomposition) -> GaussianRational:
     """Exact Holant via the separator-decomposition recursion."""
-    return FptSolver(instance, decomposition, **kwargs).holant()
+    return FptSolver(instance, decomposition).holant()

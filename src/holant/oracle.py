@@ -1,7 +1,7 @@
-"""Brute-force Gibbs oracles used by the tests and for desk checking.
+"""Brute-force Gibbs oracles and reference recursions for the tests and desk checking.
 
-Everything here enumerates configurations directly from the definitions, kept
-deliberately independent of the solver implementations.
+Everything here works directly from the definitions, kept deliberately
+independent of the solver implementations.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from typing import Mapping, Optional
 import mpmath
 
 from .errors import FailedPreconditionError, InvalidArgumentError, ResourceExhaustedError
-from .exact import enumeration_cap_bits
-from .graphcore import Graph, HolantInstance
-from .symfun import SymmetricFunction
+from .exact import brute_force_hol, enumeration_cap_bits
+from .graphcore import Graph, HolantInstance, vertex_boundary
+from .sepdecomp import SeparatorDecomposition, validate
+from .symfun import SymmetricFunction, peer_partition
 from .values import ONE, ZERO, GaussianRational
 
 
@@ -67,6 +68,69 @@ class GibbsOracle:
 
 def gibbs_oracle(instance: HolantInstance, cap_bits: Optional[int] = None) -> GibbsOracle:
     return GibbsOracle(instance, cap_bits)
+
+
+def literal_recursion_hol(instance: HolantInstance, decomposition: SeparatorDecomposition) -> GaussianRational:
+    """The separator-decomposition recursion, enumerated as it is stated.
+
+    At a node U with children U1, U2 and separator S, every core vertex v in
+    S u dU carries g_v (f_v on S, its boundary constraint on dU) and has d1 and
+    d2 edges into U1 and U2, d0 = arity - d1 - d2 into the core.  Z(U, phi)
+    sums, over every choice of peer classes (c0, c1, c2) of each g_v at
+    arities (d0, d1, d2), zero terms included, Z0 * Z1 * Z2 * prod_v
+    g_v(r0 + r1 + r2), where the r are the class representatives, Z0 is the
+    brute-force Holant of the core edges touching S with c0 at each vertex,
+    and Z1, Z2 recurse with the c1, c2 classes as boundary constraints.  Every
+    boundary constraint must be a union of peer classes of its vertex's own
+    function.  Exponential in the width; a cross-check for small instances.
+    """
+    g, q, funcs, nodes = instance.graph, instance.q, instance.functions, decomposition.nodes
+    err = validate(g, decomposition)
+    if err is not None:
+        raise InvalidArgumentError(f"invalid decomposition: {err}")
+    memo = {}
+
+    def z(node_id, phi):  # phi: vertex of dU -> its boolean boundary constraint
+        node = nodes[node_id]
+        if node.is_leaf():
+            return ONE
+        key = (node_id, tuple(sorted((v, c.uid) for v, c in phi.items())))
+        if key in memo:
+            return memo[key]
+        for v, c in phi.items():
+            for cls in peer_partition(funcs[v], c.k).classes:
+                if cls.members & c.members and not cls.members <= c.members:
+                    raise AssertionError(f"constraint at vertex {v} is not a union of peer classes")
+        u1, u2 = (nodes[c].v_set for c in node.children)
+        core = sorted(node.s_set | vertex_boundary(g, node.v_set))
+        pos = {v: i for i, v in enumerate(core)}
+        h0 = Graph(len(core), [(pos[a], pos[b]) for a, b in g.edges
+                               if a in pos and b in pos and (a in node.s_set or b in node.s_set)])
+        choices, on1, on2 = [], [], []
+        for v in core:
+            gv = funcs[v] if v in node.s_set else phi[v].to_function()
+            d1 = sum(u in u1 for u in g.neighbors(v))
+            d2 = sum(u in u2 for u in g.neighbors(v))
+            parts = [peer_partition(gv, d) for d in (gv.d - d1 - d2, d1, d2)]
+            choices.append([
+                (c0, c1, c2, gv.value_at(tuple(map(sum, zip(r0, r1, r2)))))
+                for (c0, r0), (c1, r1), (c2, r2) in product(
+                    *(zip(p.classes, p.representatives) for p in parts))
+            ])
+            on1.append(d1 > 0)
+            on2.append(d2 > 0)
+        total = ZERO
+        for joint in product(*choices):
+            term = brute_force_hol(HolantInstance(h0, q, [t[0].to_function() for t in joint]))
+            for t in joint:
+                term = term * t[3]
+            phi1 = {v: t[1] for v, t, keep in zip(core, joint, on1) if keep}
+            phi2 = {v: t[2] for v, t, keep in zip(core, joint, on2) if keep}
+            total = total + term * z(node.children[0], phi1) * z(node.children[1], phi2)
+        memo[key] = total
+        return total
+
+    return z(decomposition.root.id, {})
 
 
 def spin_partition_brute(

@@ -13,7 +13,6 @@ from holant import (
     brute_force_hol,
     builtin,
     cycle_graph,
-    edge_diameter,
     estimate_marginal,
     fptas_hol,
     grid_graph,
@@ -103,6 +102,19 @@ def test_search_colorings_greedy():
         assert shared_u != shared_v
 
 
+def test_search_explicit_generic_plugin():
+    inst = matchings(cycle_graph(4))
+    out = tractable_search(inst, {1: 1}, "generic")
+    assert out is not None and out[1] == 1
+    assert inst.weight(tuple(out[e] for e in range(inst.graph.m)))
+    assert tractable_search(inst, {0: 1, 1: 1}, "generic") is None
+
+
+def test_search_unknown_plugin_rejected():
+    with pytest.raises(InvalidArgumentError):
+        tractable_search(matchings(path_graph(3)), {}, "bogus")
+
+
 # ---------------------------------------------------------------------------
 # marginals
 
@@ -179,12 +191,6 @@ def test_fptas_edgeless_instance():
                                  SymmetricFunction(2, 0, [Fraction(5, 2)])])
     res = fptas_hol(inst, Fraction(1, 10))
     assert res.value == Fraction(15, 2) and res.certified
-
-
-def test_edge_diameter():
-    assert edge_diameter(path_graph(5)) == 3
-    assert edge_diameter(cycle_graph(6)) == 3
-    assert edge_diameter(path_graph(2)) == 0
 
 
 # ---------------------------------------------------------------------------

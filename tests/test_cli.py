@@ -82,6 +82,13 @@ def test_approx_whole_radius():
     assert "certified: yes" in out
 
 
+def test_approx_unknown_search_plugin(capsys):
+    text = model_text(["matchings", "--graph", "path:3"])
+    code, _ = run_cli(["approx", "--eps", "1/10", "--model-search", "bogus"], stdin_text=text)
+    assert code == EXIT_INVALID
+    assert "error: unknown search plugin 'bogus'" in capsys.readouterr().err
+
+
 def test_oracle_subcommand():
     text = model_text(["matchings", "--graph", "path:3"])
     code, out = run_cli(["oracle", "--edge", "0"], stdin_text=text)

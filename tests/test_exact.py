@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,7 @@ from holant import (
     simple_dp_hol,
 )
 from holant.exact import FptSolver, instance_decomposition
+from holant.oracle import literal_recursion_hol
 from holant.symfun import SymmetricFunction, composition_count
 from holant.values import GaussianRational
 
@@ -110,9 +113,10 @@ def test_simple_dp_deep_path_needs_no_recursion():
     assert simple_dp_hol(matchings_instance(path_graph(3000))) == a  # F(3001)
 
 
-# Differential property test: the three exact solvers on random instances.
-# Zero-heavy functions exercise the dead-state rule of the simple DP;
-# explicit tables bring in non-real Gaussian-rational values.
+# Differential property test: the three exact solvers and the literal
+# recursion on random instances.  Zero-heavy functions exercise the dead-state
+# rule of the simple DP and the zero-pair skip of the FPT solver; explicit
+# tables bring in non-real Gaussian-rational values.
 
 DIFFERENTIAL = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -147,7 +151,8 @@ def differential_instances(draw):
 @given(differential_instances())
 def test_exact_solvers_agree_on_random_instances(inst):
     decomp, _ = instance_decomposition(inst)
-    assert simple_dp_hol(inst) == brute_force_hol(inst) == fpt_hol(inst, decomp)
+    assert simple_dp_hol(inst) == brute_force_hol(inst) == fpt_hol(inst, decomp) \
+        == literal_recursion_hol(inst, decomp)
 
 
 # ---------------------------------------------------------------------------
@@ -177,33 +182,15 @@ def test_fpt_perfect_matchings_k4():
 
 
 def test_fpt_literal_and_folded_agree():
+    # the literal recursion enumerates every three-image term, zero terms
+    # included, and checks that each boundary constraint is a union of peer
+    # classes of its vertex's function
     rng = random.Random(22)
-    for _ in range(12):
+    for _ in range(26):
         inst = random_instance(rng, max_n=6, max_edges=8)
         decomp, _ = instance_decomposition(inst)
         folded = FptSolver(inst, decomp).holant()
-        literal = FptSolver(inst, decomp, literal=True).holant()
-        assert folded == literal == brute_force_hol(inst)
-
-
-def test_fpt_zero_skip_safety():
-    rng = random.Random(23)
-    for _ in range(8):
-        inst = random_instance(rng, max_n=6, max_edges=7)
-        decomp, _ = instance_decomposition(inst)
-        with_skip = FptSolver(inst, decomp).holant()
-        without = FptSolver(inst, decomp, skip_zero_terms=False).holant()
-        lit_without = FptSolver(inst, decomp, literal=True, skip_zero_terms=False).holant()
-        assert with_skip == without == lit_without
-
-
-def test_fpt_closure_membership_check():
-    rng = random.Random(24)
-    for _ in range(6):
-        inst = random_instance(rng, max_n=6, max_edges=8)
-        decomp, _ = instance_decomposition(inst)
-        value = FptSolver(inst, decomp, check_closure_membership=True).holant()
-        assert value == brute_force_hol(inst)
+        assert folded == literal_recursion_hol(inst, decomp) == brute_force_hol(inst)
 
 
 def test_fpt_memo_write_once():
@@ -284,6 +271,46 @@ def test_fpt_function_overrides():
     forced = solver.holant({0: from_boolean_weights([1, 0])})
     assert base == 5 and forced == 3  # matchings of P4 avoiding edge 0
     assert solver.holant() == base
+    # a negative vertex would alias the last one and miss the memo signature
+    for v in (-1, 4):
+        with pytest.raises(InvalidArgumentError):
+            solver.holant({v: from_boolean_weights([1, 0])})
+
+
+def test_fpt_concurrent_overrides_are_call_local():
+    # threads released together call holant() with different overrides on one
+    # fresh solver; each must get the value a fresh solver gives
+    inst = matchings_instance(grid_graph(4, 4))
+    decomp, _ = instance_decomposition(inst)
+    cases = [
+        None,
+        {0: from_boolean_weights([1, 0, 0])},  # corner left unmatched
+        {5: from_boolean_weights([1, 0, 0, 0, 0])},  # inner vertex left unmatched
+        {15: builtin("exact_one", 2, 2), 6: from_boolean_weights([1, 0, 0, 0, 0])},
+    ]
+    expect = [FptSolver(inst, decomp).holant(o) for o in cases]
+    assert len(set(expect)) == len(cases)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            solver = FptSolver(inst, decomp)
+            barrier = threading.Barrier(len(cases), timeout=60)
+            got = [None] * len(cases)
+
+            def run(i):
+                barrier.wait()
+                got[i] = solver.holant(cases[i])
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert got == expect
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -397,4 +424,4 @@ def test_exact_solvers_handle_gaussian_rational_values():
     assert simple_dp_hol(inst) == z
     decomp, _ = instance_decomposition(inst)
     assert fpt_hol(inst, decomp) == z
-    assert FptSolver(inst, decomp, literal=True).holant() == z
+    assert literal_recursion_hol(inst, decomp) == z
