@@ -9,6 +9,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from typing import Optional
 
 from .approx import SEARCH_PLUGINS, RadiusPolicy, fptas_hol
 from .errors import (
@@ -17,7 +18,7 @@ from .errors import (
     InvalidArgumentError,
     ResourceExhaustedError,
 )
-from .exact import FptSolver, brute_force_hol, simple_dp_hol
+from .exact import FptSolver, brute_force_hol, instance_decomposition, simple_dp_hol
 from .gates import gate_colorings, gate_ising, gate_potts, gate_subgraphs_world
 from .graphcore import (
     Graph,
@@ -32,7 +33,6 @@ from .graphcore import (
 from .instancefile import parse_instance_document, serialize_instance
 from .models import ModelSpec, build_model
 from .oracle import gibbs_oracle
-from .sepdecomp import find_min_width
 from .values import format_value
 
 EXIT_OK = 0
@@ -45,35 +45,56 @@ def _read_instance(path):
     return parse_instance_document(text).to_instance()
 
 
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidArgumentError(f"{what}: {text!r} is not an integer") from None
+
+
+def _rational(text: Optional[str], what: str) -> Fraction:
+    if text is None:
+        raise InvalidArgumentError(f"{what} is required")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidArgumentError(f"{what}: {text!r} is not a rational number") from None
+
+
 def parse_graph_spec(spec: str) -> Graph:
     """path:N | cycle:N | grid:RxC | complete:N | prism | cube | random:N:M[:SEED] | edgelist:PATH"""
     name, _, rest = spec.partition(":")
+    what = f"graph spec {spec!r}"
     if name == "path":
-        return path_graph(int(rest))
+        return path_graph(_integer(rest, what))
     if name == "cycle":
-        return cycle_graph(int(rest))
+        return cycle_graph(_integer(rest, what))
     if name == "grid":
         rows, _, cols = rest.partition("x")
-        return grid_graph(int(rows), int(cols))
+        return grid_graph(_integer(rows, what), _integer(cols, what))
     if name == "complete":
-        return complete_graph(int(rest))
+        return complete_graph(_integer(rest, what))
     if name == "prism":
         return prism_graph()
     if name == "cube":
         return cube_graph()
     if name == "random":
         parts = rest.split(":")
-        seed = int(parts[2]) if len(parts) > 2 else 0
-        return random_graph(int(parts[0]), int(parts[1]), seed=seed)
+        if len(parts) not in (2, 3):
+            raise InvalidArgumentError(f"{what}: expected random:N:M[:SEED]")
+        seed = _integer(parts[2], what) if len(parts) == 3 else 0
+        return random_graph(_integer(parts[0], what), _integer(parts[1], what), seed=seed)
     if name == "edgelist":
         edges = []
         top = -1
         with open(rest, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
+            for line_no, line in enumerate(fh, 1):
+                tokens = line.split("#", 1)[0].split()
+                if not tokens:
                     continue
-                u, v = (int(t) for t in line.split()[:2])
+                if len(tokens) < 2:
+                    raise InvalidArgumentError(f"{rest}:{line_no}: an edge needs two vertex ids")
+                u, v = (_integer(t, f"{rest}:{line_no}") for t in tokens[:2])
                 edges.append((u, v))
                 top = max(top, u, v)
         return Graph(top + 1, edges)
@@ -90,8 +111,6 @@ def _cmd_exact(args):
         value = simple_dp_hol(instance)
         extra = []
     else:
-        from .exact import instance_decomposition
-
         decomp, s_used = instance_decomposition(instance, args.sep_width)
         solver = FptSolver(instance, decomp)
         value = solver.holant()
@@ -116,7 +135,7 @@ def _cmd_approx(args):
     elif args.radius == "whole":
         policy = RadiusPolicy.whole_graph()
     elif args.radius.startswith("fixed:"):
-        policy = RadiusPolicy.fixed(int(args.radius.split(":", 1)[1]))
+        policy = RadiusPolicy.fixed(_integer(args.radius.split(":", 1)[1], "--radius"))
     else:
         raise InvalidArgumentError(f"unknown radius policy {args.radius!r}")
     if args.model_search != "auto" and args.model_search not in SEARCH_PLUGINS:
@@ -124,7 +143,7 @@ def _cmd_approx(args):
             f"unknown search plugin {args.model_search!r}; choose auto or one of {tuple(SEARCH_PLUGINS)}"
         )
     t0 = time.perf_counter()
-    result = fptas_hol(instance, Fraction(args.eps), policy, search_plugin=args.model_search)
+    result = fptas_hol(instance, _rational(args.eps, "--eps"), policy, search_plugin=args.model_search)
     elapsed = time.perf_counter() - t0
     print(f"value: {format_value(result.value)}")
     print(f"approx: {float(result.value.real):.12g}")
@@ -138,21 +157,23 @@ def _cmd_approx(args):
 
 def _cmd_decompose(args):
     instance = _read_instance(args.file)
-    decomp, s_used = find_min_width(instance.graph, args.sep_width)
+    decomp, _ = instance_decomposition(instance, args.sep_width)
     print(decomp.to_text())
     return EXIT_OK
 
 
 def _cmd_gate(args):
+    if args.model in ("potts", "colorings") and args.q is None:
+        raise InvalidArgumentError(f"{args.model} gate needs --q")
     if args.model == "subgraphs_world":
-        report = gate_subgraphs_world(args.delta, Fraction(args.lam), Fraction(args.mu))
+        report = gate_subgraphs_world(args.delta, _rational(args.lam, "--lambda"), _rational(args.mu, "--mu"))
     elif args.model == "ising":
-        report = gate_ising(args.delta, Fraction(args.beta), Fraction(args.field))
+        report = gate_ising(args.delta, _rational(args.beta, "--beta"), _rational(args.field, "--field"))
     elif args.model == "potts":
         if args.beta is not None:
-            report = gate_potts(args.delta, args.q, beta=Fraction(args.beta))
+            report = gate_potts(args.delta, args.q, beta=_rational(args.beta, "--beta"))
         elif args.lam is not None:
-            report = gate_potts(args.delta, args.q, lam=Fraction(args.lam))
+            report = gate_potts(args.delta, args.q, lam=_rational(args.lam, "--lambda"))
         else:
             raise InvalidArgumentError("potts gate needs --beta or --lambda")
     elif args.model == "colorings":
@@ -171,11 +192,12 @@ def _cmd_model(args):
     params = {}
     if args.q is not None:
         params["q"] = args.q
-    for key, raw in (("lambda", args.lam), ("mu", args.mu), ("beta", args.beta), ("B", args.field)):
+    for key, flag, raw in (("lambda", "--lambda", args.lam), ("mu", "--mu", args.mu),
+                           ("beta", "--beta", args.beta), ("B", "--field", args.field)):
         if raw is not None:
-            params[key] = Fraction(raw)
+            params[key] = _rational(raw, flag)
     if args.weights is not None:
-        params["edge_weights"] = [Fraction(w) for w in args.weights.split(",")]
+        params["edge_weights"] = [_rational(w, "--weights") for w in args.weights.split(",")]
     instance = build_model(ModelSpec(args.kind, params), graph)
     text = serialize_instance(instance)
     if args.output in (None, "-"):
@@ -195,8 +217,10 @@ def _cmd_oracle(args):
     cond = {}
     if args.cond:
         for part in args.cond.split(","):
-            e, v = part.split("=")
-            cond[int(e)] = int(v)
+            e, eq, v = part.partition("=")
+            if not eq:
+                raise InvalidArgumentError(f"--cond: expected e=v, got {part!r}")
+            cond[_integer(e, "--cond")] = _integer(v, "--cond")
     dist = oracle.marginal(args.edge, cond)
     for i, p in enumerate(dist):
         print(f"p[{i}] = {p}")
@@ -223,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?")
     p.set_defaults(func=_cmd_approx)
 
-    p = sub.add_parser("decompose", help="build and print a separator decomposition")
+    p = sub.add_parser("decompose", help="print the separator decomposition the FPT solver uses")
     p.add_argument("--sep-width", type=int, default=64)
     p.add_argument("file", nargs="?")
     p.set_defaults(func=_cmd_decompose)

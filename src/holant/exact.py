@@ -154,11 +154,13 @@ def simple_dp_hol(instance: HolantInstance) -> GaussianRational:
 
 
 def instance_vertex_costs(instance: HolantInstance) -> list[int]:
-    """Log-scale branching costs per vertex, for cost-aware separator search.
+    """Log-scale branching costs per vertex, for the separator local search.
 
     The separator recursion enumerates up to worst_pair_count(f_v) joint peer
-    images per separator vertex; minimizing the cost sum over cuts minimizes
-    the product of branching factors.
+    images per separator vertex.  After each region's minimum cut, the costs
+    order the local search's drops (costliest first) and its swaps (only for a
+    cheaper neighbor); no flow minimizes their sum.  Rounding to integers
+    decides ties between vertices of similar branching.
     """
     out = []
     for f in instance.functions:
@@ -170,7 +172,8 @@ def instance_vertex_costs(instance: HolantInstance) -> list[int]:
 def instance_decomposition(
     instance: HolantInstance, s_cap: Optional[int] = None
 ) -> tuple[SeparatorDecomposition, int]:
-    """A separator decomposition of the instance graph, steered by vertex costs.
+    """A separator decomposition of the instance graph, steered by vertex costs
+    through the separator local search.
 
     Regions are split down to pairs so every local subproblem handed to the
     simple DP stays small even for large domains.

@@ -49,14 +49,6 @@ class Graph:
     def endpoints(self, e: int) -> tuple[int, int]:
         return self.edges[e]
 
-    def other_end(self, e: int, v: int) -> int:
-        u, w = self.edges[e]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise InvalidArgumentError(f"vertex {v} not an endpoint of edge {e}")
-
     def neighbors(self, v: int):
         if self._neighbor_sets is None:
             sets = [set() for _ in range(self.n)]
@@ -65,9 +57,6 @@ class Graph:
                 sets[w].add(u)
             self._neighbor_sets = tuple(frozenset(s) for s in sets)
         return self._neighbor_sets[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors(u)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"

@@ -90,6 +90,12 @@ def _unit_vertex_function(q) -> SymmetricFunction:
     return SymmetricFunction(q, 1, [ONE] * q)
 
 
+def _required(params, key, kind):
+    if key not in params:
+        raise InvalidArgumentError(f"{kind} needs {key}")
+    return params[key]
+
+
 def build_model(spec: ModelSpec, graph: Graph) -> HolantInstance:
     """Build the Holant instance for a model on a graph.
 
@@ -141,13 +147,13 @@ def build_model(spec: ModelSpec, graph: Graph) -> HolantInstance:
         inst = incidence_transform(q, graph, _potts_edge_function(q, lam), _unit_vertex_function(q))
 
     elif kind == "subgraphs_world":
-        lam, mu = Fraction(p["lambda"]), Fraction(p["mu"])
+        lam, mu = Fraction(_required(p, "lambda", kind)), Fraction(_required(p, "mu", kind))
         if lam <= 0 or mu <= 0:
             raise InvalidArgumentError("subgraphs world needs lambda, mu > 0")
         inst = _subgraphs_world_instance(graph, lam, mu)
 
     elif kind == "ising":
-        beta, b_field = Fraction(p["beta"]), Fraction(p.get("B", 0))
+        beta, b_field = Fraction(_required(p, "beta", kind)), Fraction(p.get("B", 0))
         if beta <= 0 or b_field <= 0:
             raise InvalidArgumentError("ising (via subgraphs world) needs beta, B > 0")
         bits = int(p.get("precision", DEFAULT_APPROXIMANT_BITS))

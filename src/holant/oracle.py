@@ -53,6 +53,10 @@ class GibbsOracle:
     def marginal(self, e: int, cond: Optional[Mapping[int, int]] = None) -> list[Fraction]:
         """Exact conditional distribution of edge e given a partial configuration."""
         cond = dict(cond or {})
+        m = self.instance.graph.m
+        for c in (e, *cond):
+            if not 0 <= c < m:
+                raise InvalidArgumentError(f"edge {c} out of range for {m} edges")
         q = self.instance.q
         mass = [ZERO] * q
         total = ZERO

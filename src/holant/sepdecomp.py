@@ -11,7 +11,11 @@ with a minimum X-Y vertex cut computed by unit-capacity max-flow on the
 vertex-split graph.  A trace can only be completed when no edge joins X_W and
 Y_W, so for each S_W only the balanced unions of components of G[W - S_W] are
 tried.  The residual flow network is built once per search; each trace runs
-max-flow on a fresh copy of its capacity array.
+max-flow on a fresh copy of its capacity array.  The search takes no options.
+
+Per-vertex costs act only in the recursive construction: a greedy local search
+after the cut drops separator vertices or swaps them for cheaper neighbors
+while the split stays balanced and still splits the region.
 """
 
 from __future__ import annotations
@@ -79,27 +83,23 @@ class SeparatorDecomposition:
 # ---------------------------------------------------------------------------
 # minimum vertex cut via vertex-split max-flow
 
-_COST_BASE = 1 << 20  # cardinality dominates; per-vertex costs only break ties
-
-
 class _CutNetwork:
     """Vertex-split residual network of a graph, built once per separator search.
 
-    Vertex v becomes in-node 2v and out-node 2v + 1 joined by arc 2v; source arcs
-    (2n + 2v) and sink arcs (4n + 2v) exist for every vertex at capacity 0, and
-    each edge adds two out-to-in arcs of capacity ``big``.  Arc k and its
-    residual partner sit at k and k ^ 1.  A query copies the capacities, closes
-    the vertex arcs of the removed vertices and opens those of X and Y.
+    Vertex v becomes in-node 2v and out-node 2v + 1 joined by arc 2v of capacity
+    1; source arcs (2n + 2v) and sink arcs (4n + 2v) exist for every vertex at
+    capacity 0, and each edge adds two out-to-in arcs of capacity ``big``.  Arc
+    k and its residual partner sit at k and k ^ 1.  A query copies the
+    capacities, closes the vertex arcs of the removed vertices and opens those
+    of X and Y.
     """
 
-    __slots__ = ("n", "head", "arcs", "cap", "unit", "big")
+    __slots__ = ("n", "head", "arcs", "cap", "big")
 
-    def __init__(self, graph: Graph, costs=None):
+    def __init__(self, graph: Graph):
         n = graph.n
         self.n = n
-        self.unit = unit = _COST_BASE if costs is not None else 1
-        cost_cap = _COST_BASE // (n + 2)
-        self.big = big = unit * (n + 5)
+        self.big = big = n + 5
         src, snk = 2 * n, 2 * n + 1
         self.head = head = []
         self.cap = cap = []
@@ -114,7 +114,7 @@ class _CutNetwork:
             cap.append(0)
 
         for v in range(n):
-            add_arc(2 * v, 2 * v + 1, 1 if costs is None else unit + min(max(int(costs[v]), 0), cost_cap))
+            add_arc(2 * v, 2 * v + 1, 1)
         for v in range(n):
             add_arc(src, 2 * v, 0)
         for v in range(n):
@@ -127,11 +127,9 @@ class _CutNetwork:
         """Smallest vertex set (disjoint from X/Y) cutting X from Y in G - removed.
 
         Returns (cut, reachable_vertices) or None when every cut exceeds
-        ``budget`` vertices.  With costs, ties between minimum-cardinality cuts
-        are broken toward vertices of smaller cost.  The cut is the source
-        side's boundary in the final residual graph, which is the same for
-        every maximum flow.  Removed vertices carry no flow, so they only add
-        dead-end in-nodes.
+        ``budget`` vertices.  The cut is the source side's boundary in the final
+        residual graph, which is the same for every maximum flow.  Removed
+        vertices carry no flow, so they only add dead-end in-nodes.
         """
         n, head, arcs, big = self.n, self.head, self.arcs, self.big
         cap = self.cap.copy()
@@ -145,7 +143,6 @@ class _CutNetwork:
             cap[4 * n + 2 * v] = big
         src, snk = 2 * n, 2 * n + 1
         flow = 0
-        flow_limit = budget * self.unit + (self.unit - 1)  # any heavier flow needs > budget vertices
         while True:
             via = [-1] * (2 * n + 2)  # arc that first reached each node
             via[src] = -2
@@ -174,15 +171,13 @@ class _CutNetwork:
                 cap[k ^ 1] += bottleneck
                 b = head[k ^ 1]
             flow += bottleneck
-            if flow > flow_limit:
+            if flow > budget:
                 return None
         cut = []
         reachable = []
         for v in range(n):
             if via[2 * v] != -1 and v not in removed:
                 (reachable if via[2 * v + 1] != -1 else cut).append(v)
-        if len(cut) > budget:
-            return None
         return frozenset(cut), frozenset(reachable)
 
 
@@ -259,43 +254,23 @@ def _balanced_splits(graph: Graph, rest, limit):
         yield frozenset(rest) - y_w, y_w
 
 
-def balanced_separator(
-    graph: Graph,
-    w_vertices,
-    s_max: int,
-    *,
-    component_fast_path: bool = True,
-    vertex_costs=None,
-    must_split=None,
-) -> Optional[BalancedSeparator]:
+def balanced_separator(graph: Graph, w_vertices, s_max: int) -> Optional[BalancedSeparator]:
     """Find a balanced W-separator of size at most s_max, or None.
 
     Enumerates traces {S_W, X_W, Y_W} of W (smallest S_W first, S_W in
     lexicographic order, then Y_W's bitmask ascending) and completes each with a
-    minimum X-Y vertex cut; the first acceptable trace wins.  Only traces with no
-    X-Y edge can be completed, so for each S_W the candidates are the unions of
-    components of G[W - S_W] that are balanced.  One residual flow network serves
-    the whole search; each candidate runs max-flow on a copy of its capacities.
-    A trivial empty separator between connected components is taken before any
-    flow search unless disabled.
-
-    With ``vertex_costs``, the accepted separator is post-processed by local
-    search (dropping redundant vertices, swapping vertices for cheaper
-    neighbors) to steer the downstream dynamic program away from
-    high-branching vertices; every improvement step re-validates balance.
+    minimum X-Y vertex cut; the first completed trace is returned.  Only traces
+    with no X-Y edge can be completed, so for each S_W the candidates are the
+    unions of components of G[W - S_W] that are balanced.  One residual flow
+    network serves the whole search; each candidate runs max-flow on a copy of
+    its capacities.
     """
     w_sorted = sorted(set(w_vertices))
     if len(w_sorted) < 2:
         raise InvalidArgumentError("balanced separator needs |W| >= 2")
     total = len(w_sorted)
     limit = 2 * total  # balance: 3|X|,3|Y| <= 2|W|
-
-    if component_fast_path:
-        comp_split = _component_split(graph, frozenset(), frozenset(w_sorted))
-        if comp_split is not None:
-            return comp_split
-
-    network = _CutNetwork(graph, vertex_costs)
+    network = _CutNetwork(graph)
     for s_size in range(min(s_max, total - 2) + 1):
         for s_w in combinations(w_sorted, s_size):
             s_w_set = frozenset(s_w)
@@ -309,7 +284,7 @@ def balanced_separator(
                 y_side = frozenset(
                     v for v in range(graph.n) if v not in separator and v not in x_side
                 )
-                found = BalancedSeparator(
+                return BalancedSeparator(
                     w_set=frozenset(w_sorted),
                     separator=separator,
                     x_w=x_w,
@@ -317,9 +292,6 @@ def balanced_separator(
                     x_side=x_side,
                     y_side=y_side,
                 )
-                if vertex_costs is not None:
-                    found = _improve_separator(graph, found, vertex_costs, must_split)
-                return found
     return None
 
 
@@ -327,14 +299,14 @@ def _splits(sep: BalancedSeparator, region) -> bool:
     return sep.x_side & region != region and sep.y_side & region != region
 
 
-def _improve_separator(graph: Graph, sep: BalancedSeparator, costs, must_split=None) -> BalancedSeparator:
+def _improve_separator(graph: Graph, sep: BalancedSeparator, costs, region) -> BalancedSeparator:
     """Greedy cost reduction: drop redundant separator vertices, then swap
-    vertices for cheaper neighbors, re-validating balance (and, when given,
-    that the ``must_split`` region still ends up split) at every step."""
+    vertices for cheaper neighbors, re-validating balance and that ``region``
+    still ends up split at every step."""
     w_set = set(sep.w_set)
 
     def ok(candidate):
-        return candidate is not None and (must_split is None or _splits(candidate, must_split))
+        return candidate is not None and _splits(candidate, region)
 
     current = sep
     improved = True
@@ -375,8 +347,9 @@ def build_decomposition(
     pays off for large domains; regions of at most 4s vertices that resist
     further splitting still fall back to a base node, so the width bound and
     the guarantee of success are those of the 4s construction either way.
-    Optional per-vertex costs steer separator choice toward cheap vertices
-    without affecting which values of s succeed.
+    Each region is searched once; optional per-vertex costs then steer its
+    separator toward cheap vertices by local search, without affecting which
+    values of s succeed.
     """
     if s < 1:
         raise InvalidArgumentError("separator parameter must be >= 1")
@@ -431,16 +404,9 @@ def build_decomposition(
                 if len(w) >= w_size:
                     break
                 w.add(v)
-        sep = balanced_separator(graph, w, 2 * s, vertex_costs=vertex_costs, must_split=region)
-        if sep is not None and not _splits(sep, region):
-            # the component fast path may fail to split this region; the trace
-            # enumeration with boundary-first padding always makes progress
-            sep = balanced_separator(
-                graph, w, 2 * s,
-                component_fast_path=False, vertex_costs=vertex_costs, must_split=region,
-            )
-        if (sep is None or not _splits(sep, region)) and vertex_costs is not None:
-            sep = balanced_separator(graph, w, 2 * s, component_fast_path=False)
+        sep = balanced_separator(graph, w, 2 * s)
+        if sep is not None and vertex_costs is not None:
+            sep = _improve_separator(graph, sep, vertex_costs, region)
         if sep is None or not _splits(sep, region):
             # guaranteed progress only holds for |R| > 4s; smaller stubborn
             # regions are peeled one vertex at a time while the width budget

@@ -227,13 +227,6 @@ class PeerPartition:
     def __len__(self):
         return len(self.classes)
 
-    def class_of(self, comp) -> BooleanSymmetricFunction:
-        comp = tuple(comp)
-        for cls in self.classes:
-            if comp in cls:
-                return cls
-        raise InvalidArgumentError(f"{comp} has wrong weight for this partition")
-
 
 # ---------------------------------------------------------------------------
 # operations

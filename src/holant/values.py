@@ -31,16 +31,9 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def is_real(self):
-        return not self.im
-
     @property
     def real(self):
         return self.re
-
-    @property
-    def imag(self):
-        return self.im
 
     def as_fraction(self):
         """Return the value as a Fraction; error if the imaginary part is nonzero."""

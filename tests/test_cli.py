@@ -4,8 +4,12 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import pytest
+
 import holant
 from holant.cli import EXIT_EXHAUSTED, EXIT_INVALID, EXIT_OK, main, parse_graph_spec
+from holant.exact import instance_decomposition
+from holant.instancefile import parse_instance_document
 
 
 def run_cli(argv, stdin_text=None):
@@ -62,6 +66,14 @@ def test_decompose_output_format():
     lines = out.strip().splitlines()
     assert lines[0].startswith("node 0 parent - V {")
     assert lines[-1].startswith("width ")
+
+
+def test_decompose_prints_the_solver_decomposition():
+    text = model_text(["potts", "--graph", "prism", "--q", "3", "--lambda", "2"])
+    code, out = run_cli(["decompose"], stdin_text=text)
+    assert code == EXIT_OK
+    decomp, _ = instance_decomposition(parse_instance_document(text).to_instance(), 64)
+    assert out.rstrip("\n") == decomp.to_text()
 
 
 def test_gate_subcommand():
@@ -145,3 +157,40 @@ def test_edgelist_import(tmp_path):
     path.write_text("0 1\n1 2\n2 0\n")
     g = parse_graph_spec(f"edgelist:{path}")
     assert (g.n, g.m) == (3, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "matchings", "--graph", "path:abc"],
+    ["model", "matchings", "--graph", "grid:3"],
+    ["model", "matchings", "--graph", "random:5"],
+    ["model", "matchings", "--graph", "edgelist:{edges}"],
+    ["model", "ising", "--graph", "path:3"],
+    ["model", "subgraphs_world", "--graph", "path:3", "--lambda", "1/2"],
+    ["model", "potts", "--graph", "prism", "--q", "10", "--beta", "1/0"],
+    ["model", "weighted_matchings", "--graph", "path:3", "--weights", "1,x"],
+    ["gate", "potts", "--delta", "3", "--q", "10", "--beta", "abc"],
+    ["gate", "potts", "--delta", "3", "--beta", "1"],
+    ["gate", "colorings", "--delta", "3"],
+    ["gate", "subgraphs_world", "--delta", "3", "--lambda", "1"],
+    ["approx", "--eps", "abc", "{inst}"],
+    ["approx", "--eps", "1/0", "{inst}"],
+    ["approx", "--eps", "1/10", "--radius", "fixed:x", "{inst}"],
+    ["oracle", "--edge", "0", "--cond", "1", "{inst}"],
+    ["oracle", "--edge", "9", "{inst}"],
+    ["oracle", "--edge", "0", "--cond", "7=1", "{inst}"],
+    ["exact", "--sep-width", "x", "{inst}"],
+], ids=" ".join)
+def test_malformed_argument_exits_2(argv, tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n2\n")
+    inst = tmp_path / "path4.holant"
+    assert run_cli(["model", "matchings", "--graph", "path:4", "-o", str(inst)])[0] == EXIT_OK
+    argv = [a.format(edges=edges, inst=inst) for a in argv]
+    capsys.readouterr()
+    try:
+        code, _ = run_cli(argv)
+    except SystemExit as exc:  # argparse rejects the argument itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID
+    assert "error:" in err and "Traceback" not in err

@@ -21,6 +21,7 @@ from holant import (
     random_graph,
     validate,
 )
+from conftest import random_instance
 from holant.exact import instance_decomposition
 from holant.sepdecomp import DecompositionNode, SeparatorDecomposition
 
@@ -166,8 +167,8 @@ def test_disconnected_fast_path():
 
 
 def test_separator_differential_against_exhaustive_search():
-    # the trace search must find a separator exactly when one exists, and with
-    # the component fast path off it must return the reference's first trace
+    # the trace search must find a separator exactly when one exists, and it
+    # must return the reference's first trace
     rng = random.Random(2024)
     found = 0
     for trial in range(100):
@@ -175,13 +176,12 @@ def test_separator_differential_against_exhaustive_search():
         g = random_graph(n, rng.randint(0, min(2 * n, n * (n - 1) // 2)), seed=rng.randint(0, 10 ** 9))
         w = frozenset(rng.sample(range(n), rng.randint(2, n)))
         s_max = rng.randint(0, 3)
-        fast = rng.random() < 0.5
-        sep = balanced_separator(g, w, s_max, component_fast_path=fast)
+        rng.random()  # keeps the draw sequence, so the trials stay the same graphs
+        sep = balanced_separator(g, w, s_max)
         exists = any(exhaustive_balanced_separator_exists(g, w, k) for k in range(s_max + 1))
         assert (sep is not None) == exists, f"trial {trial}"
-        if not fast:
-            got = sep and (sep.separator, sep.x_w, sep.y_w, sep.x_side, sep.y_side)
-            assert got == reference_trace_search(g, w, s_max), f"trial {trial}"
+        got = sep and (sep.separator, sep.x_w, sep.y_w, sep.x_side, sep.y_side)
+        assert got == reference_trace_search(g, w, s_max), f"trial {trial}"
         if sep is None:
             continue
         found += 1
@@ -307,6 +307,16 @@ def test_instance_decomposition_golden(kind, params, graph, s_expected, width, n
     decomp, s = instance_decomposition(build_model(ModelSpec(kind, params), graph))
     assert (s, decomp.width, len(decomp.nodes)) == (s_expected, width, nodes)
     assert hashlib.sha256(decomp.to_text().encode()).hexdigest() == digest
+
+
+def test_instance_decomposition_golden_random_draws():
+    # one digest over s and the decomposition of 200 seeded random instances
+    rng = random.Random(6)
+    h = hashlib.sha256()
+    for _ in range(200):
+        decomp, s = instance_decomposition(random_instance(rng))
+        h.update(f"s {s}\n{decomp.to_text()}\n".encode())
+    assert h.hexdigest() == "f5ec9028d2632d0a339be09208d37ac25a456fab450772a4afd6ccb37289ac94"
 
 
 # ---------------------------------------------------------------------------
