@@ -188,8 +188,7 @@ def _restricted_positive(instance, pins) -> bool:
     sub = restrict_instance(instance, pins, keep)
     if not sub.scalar:
         return False
-    subinst, _ = sub.as_instance()
-    return bool(auto_hol(subinst))
+    return bool(auto_hol(sub.as_instance()))
 
 
 def _complete_generic(instance, partial):
@@ -243,19 +242,6 @@ class MarginalReport:
         return self.stabilized or self.full_cover
 
 
-_decomp_cache: dict = {}
-
-
-def _decomposition_for(instance):
-    graph = instance.graph
-    key = (graph.n, graph.edges, tuple(f.uid for f in instance.functions))
-    got = _decomp_cache.get(key)
-    if got is None:
-        got, _ = instance_decomposition(instance)
-        _decomp_cache[key] = got
-    return got
-
-
 def _ball_distribution(instance, e, cond, completion, r):
     """Exact conditional distribution of edge e on the radius-r restriction."""
     g = instance.graph
@@ -273,13 +259,13 @@ def _ball_distribution(instance, e, cond, completion, r):
         fix_i = dict(fix)
         fix_i[e] = i
         subs.append(restrict_instance(instance, fix_i, keep))
-    base_inst, _ = subs[0].as_instance()
+    base_inst = subs[0].as_instance()
     numerators = []
     if base_inst.graph.n == 0:
         for sub in subs:
             numerators.append(sub.scalar.as_fraction())
     else:
-        solver = FptSolver(base_inst, _decomposition_for(base_inst))
+        solver = FptSolver(base_inst, instance_decomposition(base_inst)[0])
         vmap = {v: i for i, v in enumerate(subs[0].vertices)}
         for sub in subs:
             overrides = {}

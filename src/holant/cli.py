@@ -30,7 +30,7 @@ from .graphcore import (
     prism_graph,
     random_graph,
 )
-from .instancefile import parse_instance_document, serialize_instance
+from .instancefile import parse_instance, serialize_instance
 from .models import ModelSpec, build_model
 from .oracle import gibbs_oracle
 from .values import format_value
@@ -42,7 +42,7 @@ EXIT_EXHAUSTED = 3
 
 def _read_instance(path):
     text = sys.stdin.read() if path in (None, "-") else open(path, encoding="utf-8").read()
-    return parse_instance_document(text).to_instance()
+    return parse_instance(text)
 
 
 def _integer(text: str, what: str) -> int:

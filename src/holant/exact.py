@@ -29,12 +29,11 @@ from .sepdecomp import SeparatorDecomposition, find_min_width, validate
 from .symfun import (
     BooleanSymmetricFunction,
     SymmetricFunction,
-    add_compositions,
     composition_index,
     composition_of,
     compositions,
-    peer_partition,
     pin,
+    survivor_pairs,
     worst_pair_count,
 )
 from .values import ONE, ZERO, GaussianRational
@@ -252,33 +251,6 @@ class _NodeInfo:
         self.h0_order = h0_order
 
 
-_pairs_cache: dict = {}
-
-
-def _survivor_pairs(gv, d1, d2):
-    """Per-vertex peer-image pairs for the folded recursion whose pinned function
-    is not identically zero, grouped by the child-1 image; cached globally by
-    (function, split)."""
-    key = (gv.uid, d1, d2)
-    got = _pairs_cache.get(key)
-    if got is not None:
-        return got
-    part1 = peer_partition(gv, d1)
-    part2 = peer_partition(gv, d2)
-    by_c1 = []
-    for c1, r1 in zip(part1.classes, part1.representatives):
-        inner = []
-        for c2, r2 in zip(part2.classes, part2.representatives):
-            h = pin(gv, add_compositions(r1, r2))
-            if not h.is_zero_function():
-                inner.append((c2, h))
-        if inner:
-            by_c1.append((c1, tuple(inner)))
-    got = tuple(by_c1)
-    _pairs_cache[key] = got
-    return got
-
-
 class FptSolver:
     """Memoized evaluator of the separator-decomposition recursion.
 
@@ -400,7 +372,7 @@ class FptSolver:
         outer = []
         for i, v in enumerate(info.core):
             gv = funcs[v] if info.roles[i] else phi[bd_pos[v]].to_function()
-            by_c1 = _survivor_pairs(gv, info.d1[i], info.d2[i])
+            by_c1 = survivor_pairs(gv, info.d1[i], info.d2[i])
             if not by_c1:
                 return ZERO
             outer.append(by_c1)

@@ -143,12 +143,6 @@ def random_outerplanar(n: int, extra: int, seed=None) -> Graph:
     return Graph(n, edges)
 
 
-NAMED_GRAPHS = {
-    "prism": prism_graph,
-    "cube": cube_graph,
-}
-
-
 # ---------------------------------------------------------------------------
 # instances
 
@@ -188,6 +182,20 @@ class HolantInstance:
         return f"HolantInstance(q={self.q}, {self.graph!r})"
 
 
+def paired_incidence(
+    graph: Graph, q: int, vertex_fns: Sequence[SymmetricFunction], edge_fns: Sequence[SymmetricFunction]
+) -> HolantInstance:
+    """The Holant instance on the incidence graph of ``graph``.
+
+    Original vertex v keeps id v and carries ``vertex_fns[v]``; original edge j
+    becomes vertex n + j carrying ``edge_fns[j]``, and its two half-edges, to
+    its lower and higher endpoint, get the ids 2j and 2j + 1.
+    """
+    n = graph.n
+    inc_edges = [(u, n + j) for j, ends in enumerate(graph.edges) for u in ends]
+    return HolantInstance(Graph(n + graph.m, inc_edges), q, list(vertex_fns) + list(edge_fns))
+
+
 def incidence_transform(
     q: int,
     graph: Graph,
@@ -206,16 +214,9 @@ def incidence_transform(
         raise InvalidArgumentError(f"edge function must be binary, got arity {edge_function.d}")
     if vertex_function.d != 1:
         raise InvalidArgumentError(f"vertex function must be unary, got arity {vertex_function.d}")
-    n, m = graph.n, graph.m
-    inc_edges = []
-    for e, (u, v) in enumerate(graph.edges):
-        inc_edges.append((u, n + e))
-        inc_edges.append((v, n + e))
-    inc_graph = Graph(n + m, inc_edges)
     weights = [vertex_function.value_at(tuple(1 if i == j else 0 for j in range(q))) for i in range(q)]
-    functions = [builtin("equality", q, graph.degree(v), weights=weights) for v in range(n)]
-    functions.extend(edge_function for _ in range(m))
-    return HolantInstance(inc_graph, q, functions)
+    functions = [builtin("equality", q, graph.degree(v), weights=weights) for v in range(graph.n)]
+    return paired_incidence(graph, q, functions, [edge_function] * graph.m)
 
 
 def vertex_boundary(graph: Graph, vertices: Iterable[int]) -> frozenset[int]:
@@ -268,7 +269,7 @@ class SubInstance:
     of whose edges are fixed contribute their fully pinned value to ``scalar``.
     """
 
-    __slots__ = ("parent", "kept_edges", "vertices", "functions", "scalar", "_instance", "_edge_map")
+    __slots__ = ("parent", "kept_edges", "vertices", "functions", "scalar")
 
     def __init__(self, parent, kept_edges, vertices, functions, scalar):
         self.parent = parent
@@ -276,24 +277,14 @@ class SubInstance:
         self.vertices = vertices
         self.functions = functions
         self.scalar = scalar
-        self._instance = None
-        self._edge_map = None
 
-    def as_instance(self) -> tuple[HolantInstance, dict[int, int]]:
-        """A standalone relabeled instance plus {sub edge id -> parent edge id}."""
-        if self._instance is None:
-            vmap = {v: i for i, v in enumerate(self.vertices)}
-            sub_edges = []
-            edge_map = {}
-            for new_e, e in enumerate(self.kept_edges):
-                u, v = self.parent.graph.endpoints(e)
-                sub_edges.append((vmap[u], vmap[v]))
-                edge_map[new_e] = e
-            g = Graph(len(self.vertices), sub_edges)
-            funcs = [self.functions[v] for v in self.vertices]
-            self._instance = HolantInstance(g, self.parent.q, funcs, model=self.parent.model)
-            self._edge_map = edge_map
-        return self._instance, self._edge_map
+    def as_instance(self) -> HolantInstance:
+        """A standalone relabeled instance: its vertex i is ``vertices[i]`` and its
+        edge i is ``kept_edges[i]``."""
+        vmap = {v: i for i, v in enumerate(self.vertices)}
+        edges = [(vmap[u], vmap[v]) for u, v in map(self.parent.graph.endpoints, self.kept_edges)]
+        funcs = [self.functions[v] for v in self.vertices]
+        return HolantInstance(Graph(len(self.vertices), edges), self.parent.q, funcs, model=self.parent.model)
 
 
 def restrict_instance(

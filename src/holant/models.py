@@ -16,7 +16,7 @@ from typing import Optional
 import mpmath
 
 from .errors import InvalidArgumentError
-from .graphcore import Graph, HolantInstance, incidence_transform
+from .graphcore import Graph, HolantInstance, incidence_transform, paired_incidence
 from .symfun import SymmetricFunction, builtin, compositions
 from .values import ONE, ZERO, GaussianRational, as_value
 
@@ -120,10 +120,9 @@ def build_model(spec: ModelSpec, graph: Graph) -> HolantInstance:
         weights = [Fraction(w) for w in weights]
         if any(w <= 0 for w in weights):
             raise InvalidArgumentError("edge weights must be positive")
-        inst = _paired_incidence(graph, q=2,
-                                 vertex_fns=[builtin("at_most_one", 2, graph.degree(v))
-                                             for v in range(graph.n)],
-                                 edge_fns=[from_pair_weights(ONE, ZERO, as_value(w)) for w in weights])
+        inst = paired_incidence(graph, 2,
+                                [builtin("at_most_one", 2, graph.degree(v)) for v in range(graph.n)],
+                                [from_pair_weights(ONE, ZERO, as_value(w)) for w in weights])
 
     elif kind == "colorings":
         q = int(p.get("q", 0))
@@ -175,22 +174,12 @@ def from_pair_weights(v0, v_mixed, v2) -> SymmetricFunction:
     return builtin("explicit_boolean_weights", 2, 2, values=[v0, v_mixed, v2])
 
 
-def _paired_incidence(graph, q, vertex_fns, edge_fns) -> HolantInstance:
-    n, m = graph.n, graph.m
-    inc_edges = []
-    for e, (u, v) in enumerate(graph.edges):
-        inc_edges.append((u, n + e))
-        inc_edges.append((v, n + e))
-    inc_graph = Graph(n + m, inc_edges)
-    return HolantInstance(inc_graph, q, list(vertex_fns) + list(edge_fns))
-
-
 def _subgraphs_world_instance(graph, lam, mu) -> HolantInstance:
     vertex_fns = [
         builtin("cyclic", 2, graph.degree(v), c=2, values=[1, mu]) for v in range(graph.n)
     ]
     edge_fn = from_pair_weights(ONE, ZERO, as_value(lam))
-    return _paired_incidence(graph, 2, vertex_fns, [edge_fn] * graph.m)
+    return paired_incidence(graph, 2, vertex_fns, [edge_fn] * graph.m)
 
 
 def ising_prefactor(graph: Graph, beta, b_field, bits: int = DEFAULT_APPROXIMANT_BITS) -> GaussianRational:

@@ -58,6 +58,9 @@ class GibbsOracle:
             if not 0 <= c < m:
                 raise InvalidArgumentError(f"edge {c} out of range for {m} edges")
         q = self.instance.q
+        for val in cond.values():
+            if not 0 <= val < q:
+                raise InvalidArgumentError(f"conditioning value {val} outside domain [{q}]")
         mass = [ZERO] * q
         total = ZERO
         for config, w in self.weights.items():

@@ -7,11 +7,15 @@ represented as plain tuples of q nonnegative ints; functions store one exact
 value per weight-d composition, in lexicographic composition order.
 
 Functions are interned: constructing the same (q, d, table) twice yields the
-same object, with a process-stable ``uid`` usable as a memo key.
+same object, with a process-stable ``uid`` usable as a memo key.  Each interned
+function carries the data derived from it, filled on first use: its pins, peer
+partitions, surviving peer-image pairs and worst pair count.  The two intern
+registries are the only process-wide tables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from math import comb
@@ -23,16 +27,9 @@ from .values import ONE, ZERO, GaussianRational, as_value
 # ---------------------------------------------------------------------------
 # compositions
 
-_comp_cache: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-_comp_index_cache: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
-
-
+@functools.cache
 def compositions(q: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All weak q-compositions of d, in ascending lexicographic order."""
-    key = (q, d)
-    got = _comp_cache.get(key)
-    if got is not None:
-        return got
     if q < 1 or d < 0:
         raise InvalidArgumentError(f"bad composition shape q={q}, d={d}")
     out = []
@@ -45,18 +42,13 @@ def compositions(q: int, d: int) -> tuple[tuple[int, ...], ...]:
             rec(prefix + (c,), remaining - c, slots - 1)
 
     rec((), d, q)
-    got = tuple(out)
-    _comp_cache[key] = got
-    _comp_index_cache[key] = {c: i for i, c in enumerate(got)}
-    return got
+    return tuple(out)
 
 
+@functools.cache
 def composition_index(q: int, d: int) -> dict[tuple[int, ...], int]:
     """Composition -> position in the lexicographic enumeration."""
-    key = (q, d)
-    if key not in _comp_index_cache:
-        compositions(q, d)
-    return _comp_index_cache[key]
+    return {c: i for i, c in enumerate(compositions(q, d))}
 
 
 def composition_of(q: int, tup: Iterable[int]) -> tuple[int, ...]:
@@ -87,7 +79,7 @@ _next_uid = itertools.count()
 class SymmetricFunction:
     """A symmetric function over [q] of arity d, stored as a composition-indexed table."""
 
-    __slots__ = ("q", "d", "table", "uid", "_is_zero")
+    __slots__ = ("q", "d", "table", "uid", "_is_zero", "_pins", "_peers", "_pairs", "_pair_count")
 
     def __new__(cls, q: int, d: int, table):
         if q < 2:
@@ -110,6 +102,10 @@ class SymmetricFunction:
             self.table = values
             self.uid = next(_next_uid)
             self._is_zero = not any(values)
+            self._pins = {}  # kappa -> pin(self, kappa)
+            self._peers = {}  # k -> peer_partition(self, k)
+            self._pairs = {}  # (d1, d2) -> survivor_pairs(self, d1, d2)
+            self._pair_count = None
             _fn_registry[key] = self
             return self
 
@@ -231,15 +227,10 @@ class PeerPartition:
 # ---------------------------------------------------------------------------
 # operations
 
-_pin_cache: dict[tuple[int, tuple[int, ...]], SymmetricFunction] = {}
-_partition_cache: dict[tuple[int, int], PeerPartition] = {}
-
-
 def pin(f: SymmetricFunction, kappa: Sequence[int]) -> SymmetricFunction:
     """Fix arguments with composition ``kappa``: returns g with g(mu) = f(mu + kappa)."""
     kappa = tuple(kappa)
-    key = (f.uid, kappa)
-    got = _pin_cache.get(key)
+    got = f._pins.get(kappa)
     if got is not None:
         return got
     if len(kappa) != f.q or any(c < 0 for c in kappa):
@@ -253,7 +244,7 @@ def pin(f: SymmetricFunction, kappa: Sequence[int]) -> SymmetricFunction:
         idx = composition_index(f.q, f.d)
         table = [f.table[idx[add_compositions(mu, kappa)]] for mu in compositions(f.q, f.d - k)]
         g = SymmetricFunction(f.q, f.d - k, table)
-    _pin_cache[key] = g
+    f._pins[kappa] = g
     return g
 
 
@@ -261,8 +252,7 @@ def peer_partition(f: SymmetricFunction, k: int) -> PeerPartition:
     """Group weight-k compositions into classes with identical pinned functions."""
     if not 0 <= k <= f.d:
         raise InvalidArgumentError(f"peer arity {k} out of range 0..{f.d}")
-    key = (f.uid, k)
-    got = _partition_cache.get(key)
+    got = f._peers.get(k)
     if got is not None:
         return got
     groups: dict[SymmetricFunction, list[tuple[int, ...]]] = {}
@@ -273,9 +263,31 @@ def peer_partition(f: SymmetricFunction, k: int) -> PeerPartition:
     classes = tuple(BooleanSymmetricFunction(f.q, k, members) for _, members in items)
     reps = tuple(members[0] for _, members in items)
     pinned = tuple(g for g, _ in items)
-    part = PeerPartition(f.q, k, classes, reps, pinned)
-    _partition_cache[key] = part
+    part = f._peers[k] = PeerPartition(f.q, k, classes, reps, pinned)
     return part
+
+
+def survivor_pairs(f: SymmetricFunction, d1: int, d2: int):
+    """The peer-image pairs of a two-sided arity split whose pin does not vanish.
+
+    A pair (c1, c2) of peer classes at arities d1 and d2 survives when pinning
+    f by the sum of their representatives leaves a nonzero function h.  Returns
+    ``((c1, ((c2, h), ...)), ...)``, grouped by c1 in class order; a c1 with no
+    surviving c2 is left out.
+    """
+    got = f._pairs.get((d1, d2))
+    if got is not None:
+        return got
+    part1, part2 = peer_partition(f, d1), peer_partition(f, d2)
+    by_c1 = []
+    for c1, r1 in zip(part1.classes, part1.representatives):
+        pinned = ((c2, pin(f, add_compositions(r1, r2)))
+                  for c2, r2 in zip(part2.classes, part2.representatives))
+        inner = tuple((c2, h) for c2, h in pinned if not h.is_zero_function())
+        if inner:
+            by_c1.append((c1, inner))
+    got = f._pairs[(d1, d2)] = tuple(by_c1)
+    return got
 
 
 def regularity(f: SymmetricFunction) -> int:
@@ -298,33 +310,21 @@ def peering_closure_at(f: SymmetricFunction, k: int) -> list[BooleanSymmetricFun
     return out
 
 
-_pair_count_cache: dict[int, int] = {}
-
-
 def worst_pair_count(f: SymmetricFunction) -> int:
     """Largest number of surviving peer-image pairs over all two-sided arity splits.
 
-    For a split (k1, k2) with k1 + k2 <= d, a pair of peer classes survives when
-    pinning f by the two representatives leaves a nonzero function.  This is the
-    per-vertex branching factor of the separator recursion; separator search uses
-    it to prefer cheap vertices among minimum cuts.
+    Counts the pairs of ``survivor_pairs`` for every split (k1, k2) with
+    k1 + k2 <= d, and at least 1.  This is the per-vertex branching factor of
+    the separator recursion; separator search uses it to prefer cheap vertices
+    among minimum cuts.
     """
-    got = _pair_count_cache.get(f.uid)
-    if got is not None:
-        return got
-    worst = 1
-    for k1 in range(f.d + 1):
-        part1 = peer_partition(f, k1)
-        for k2 in range(f.d - k1 + 1):
-            part2 = peer_partition(f, k2)
-            count = 0
-            for r1 in part1.representatives:
-                for r2 in part2.representatives:
-                    if not pin(f, add_compositions(r1, r2)).is_zero_function():
-                        count += 1
-            worst = max(worst, count)
-    _pair_count_cache[f.uid] = worst
-    return worst
+    if f._pair_count is None:
+        f._pair_count = max(
+            1,
+            *(sum(len(inner) for _, inner in survivor_pairs(f, k1, k2))
+              for k1 in range(f.d + 1) for k2 in range(f.d - k1 + 1)),
+        )
+    return f._pair_count
 
 
 def evaluate_by_peers(f: SymmetricFunction, reps: Sequence[Sequence[int]]) -> GaussianRational:

@@ -194,3 +194,13 @@ def test_malformed_argument_exits_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_INVALID
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cond", ["1=5", "1=-1"])
+def test_oracle_conditioning_value_outside_domain_names_the_domain(cond, capsys):
+    text = model_text(["matchings", "--graph", "path:4"])
+    capsys.readouterr()
+    code, _ = run_cli(["oracle", "--edge", "0", "--cond", cond], text)
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID
+    assert f"conditioning value {cond[2:]} outside domain [2]" in err

@@ -204,7 +204,7 @@ def test_gibbs_oracle_two_routes_agree():
     direct = oracle.marginal(0, {1: 0})
     # second route: restrict on the conditioning, then enumerate
     sub = restrict_instance(inst, {1: 0}, [0])
-    sub_inst, _ = sub.as_instance()
+    sub_inst = sub.as_instance()
     sub_oracle = gibbs_oracle(sub_inst)
     assert direct == sub_oracle.marginal(0)
 
@@ -215,3 +215,10 @@ def test_gibbs_oracle_zero_mass_event():
     inst = build_model(ModelSpec("matchings", {}), path_graph(3))
     with pytest.raises(FailedPreconditionError):
         gibbs_oracle(inst).marginal(0, {0: 1, 1: 1})
+
+
+@pytest.mark.parametrize("val", [5, -1])
+def test_gibbs_oracle_rejects_conditioning_values_outside_the_domain(val):
+    inst = build_model(ModelSpec("matchings", {}), path_graph(4))
+    with pytest.raises(InvalidArgumentError, match=r"outside domain \[2\]"):
+        gibbs_oracle(inst).marginal(0, {1: val})

@@ -17,7 +17,7 @@ from holant import (
     pin,
     regularity,
 )
-from holant.symfun import BooleanSymmetricFunction, SymmetricFunction, worst_pair_count
+from holant.symfun import BooleanSymmetricFunction, SymmetricFunction, survivor_pairs, worst_pair_count
 
 
 def bw(fn):
@@ -319,3 +319,46 @@ def test_worst_pair_count_matchings_vertex():
     f = builtin("at_most_one", 2, 3)
     # splits like (1,1) admit (0,0), (0,1), (1,0) but not (1,1): 3 pairs survive
     assert worst_pair_count(f) == 3
+
+
+def _surviving_pairs_by_definition(f, d1, d2):
+    """Every pair of peer classes at arities (d1, d2), as (members1, members2,
+    pinned table), whose pin by the summed representatives is not identically
+    zero; from the table alone, classes ordered by their lex-min member."""
+    def shifted(kappa, rest):
+        return tuple(f.value_at(tuple(map(sum, zip(kappa, mu)))) for mu in compositions(f.q, rest))
+
+    def classes(k):
+        groups = {}
+        for kappa in compositions(f.q, k):
+            groups.setdefault(shifted(kappa, f.d - k), []).append(kappa)
+        return sorted(groups.values())
+
+    out = []
+    for m1 in classes(d1):
+        for m2 in classes(d2):
+            table = shifted(tuple(map(sum, zip(m1[0], m2[0]))), f.d - d1 - d2)
+            if any(table):
+                out.append((frozenset(m1), frozenset(m2), table))
+    return out
+
+
+def test_survivor_pairs_and_worst_pair_count_match_the_definition():
+    rng = random.Random(11)
+    for _ in range(200):
+        q, d = rng.choice((2, 3)), rng.randint(0, 6)
+        f = random_regular_function(rng, q, d)
+        worst = 1
+        for d1 in range(d + 1):
+            assert peer_partition(f, d1) is peer_partition(f, d1)
+            for d2 in range(d - d1 + 1):
+                expected = _surviving_pairs_by_definition(f, d1, d2)
+                got = [(c1.members, c2.members, h.table)
+                       for c1, inner in survivor_pairs(f, d1, d2) for c2, h in inner]
+                assert got == expected
+                assert survivor_pairs(f, d1, d2) is survivor_pairs(f, d1, d2)
+                worst = max(worst, len(expected))
+        assert worst_pair_count(f) == worst
+        for kappa in compositions(q, rng.randint(0, d)):
+            assert pin(f, kappa) is pin(f, kappa)
+
