@@ -31,7 +31,7 @@ def main():
     print(f"round-trip value preserved: {brute_force_hol(again) == brute_force_hol(inst)}")
     print(f"model provenance survives: kind={again.model.kind},"
           f" base graph edges={again.model.base_graph.edges}")
-    print(f"completion plugin still works: {tractable_search(again, {2: 1}) is not None}")
+    print(f"model completion still works: {tractable_search(again, {2: 1}) is not None}")
 
     print()
     print("== Exact conditional marginals from the Gibbs oracle ==")

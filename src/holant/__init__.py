@@ -9,7 +9,7 @@ from .errors import (
     InvalidArgumentError,
     ResourceExhaustedError,
 )
-from .values import ONE, ZERO, GaussianRational, Value, as_value, format_value, parse_value
+from .values import ONE, ZERO, GaussianRational, as_value, format_value, parse_value
 from .symfun import (
     BooleanSymmetricFunction,
     PeerPartition,
@@ -37,7 +37,6 @@ from .graphcore import (
     path_graph,
     prism_graph,
     random_graph,
-    random_outerplanar,
     restrict_instance,
     vertex_boundary,
 )

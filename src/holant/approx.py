@@ -7,12 +7,13 @@ of exact sub-Holants gives the estimate.  Under the adaptive policy the radius
 doubles until consecutive distributions agree within the stabilization
 tolerance.  The FPTAS pins edges one at a time at the argmax estimated value
 and divides the chosen configuration's weight by the product of the recorded
-conditional probabilities.
+conditional probabilities.  It asks one completion question per step: the
+completion that shows the chosen value extends is the next step's fringe fill.
+The instance's model kind alone decides which completion search runs.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -71,20 +72,15 @@ def _values_real_nonnegative(instance) -> bool:
     )
 
 
-def _model_kind(instance):
-    spec = instance.model
-    return getattr(spec, "kind", None)
-
-
-def tractable_search(
-    instance: HolantInstance, partial: Mapping[int, int], plugin: Optional[str] = None
-) -> Optional[dict]:
+def tractable_search(instance: HolantInstance, partial: Mapping[int, int]) -> Optional[dict]:
     """Extend a partial edge configuration to a full feasible one, or return None.
 
-    Model-specific completions are used when the instance carries model
-    provenance (or when ``plugin`` names one explicitly); anything else falls
-    back to extension testing with the exact solvers (polynomial only in the
-    sub-exponential sense, fine at desk scale).
+    The instance's model provenance picks the completion: matchings, the
+    paired-incidence models (weighted matchings, subgraphs world, Ising) and
+    the spin-incidence models (Potts, colorings) have direct ones.  Anything
+    else, perfect matchings included, gets the lexicographically smallest
+    feasible extension by extension testing with the exact solvers
+    (polynomial only in the sub-exponential sense, fine at desk scale).
     """
     g = instance.graph
     for e, val in partial.items():
@@ -92,13 +88,14 @@ def tractable_search(
             raise InvalidArgumentError(f"partial assigns out-of-range edge {e}")
         if not 0 <= val < instance.q:
             raise InvalidArgumentError(f"partial value {val} outside domain [{instance.q}]")
-    if plugin in (None, "auto"):
-        complete = SEARCH_PLUGINS.get(_model_kind(instance), _complete_generic)
-    else:
-        complete = SEARCH_PLUGINS.get(plugin)
-        if complete is None:
-            raise InvalidArgumentError(f"unknown search plugin {plugin!r}")
-    return complete(instance, partial)
+    kind = getattr(instance.model, "kind", None)
+    if kind == "matchings":
+        return _complete_matchings(instance, partial)
+    if kind in ("weighted_matchings", "subgraphs_world", "ising"):
+        return _complete_paired_incidence(instance, partial, kind)
+    if kind in ("potts", "colorings"):
+        return _complete_spin_incidence(instance, partial, kind)
+    return _complete_generic(instance, partial)
 
 
 def _complete_matchings(instance, partial):
@@ -123,7 +120,7 @@ def _complete_paired_incidence(instance, partial, kind):
     """
     base = getattr(instance.model, "base_graph", None)
     if base is None:
-        raise InvalidArgumentError(f"the {kind} search plugin needs incidence-model provenance")
+        raise InvalidArgumentError(f"the {kind} search needs incidence-model provenance")
     n = base.n
     g = instance.graph
     out = dict(partial)
@@ -149,7 +146,7 @@ def _complete_spin_incidence(instance, partial, kind):
     """Spin models on the incidence graph: all half-edges at a vertex share its spin."""
     base = getattr(instance.model, "base_graph", None)
     if base is None:
-        raise InvalidArgumentError(f"the {kind} search plugin needs incidence-model provenance")
+        raise InvalidArgumentError(f"the {kind} search needs incidence-model provenance")
     n = base.n
     g = instance.graph
     spin = {}
@@ -212,20 +209,6 @@ def _complete_generic(instance, partial):
     return pins
 
 
-# completion function per plugin name; a model kind not listed here falls
-# back to the generic search
-SEARCH_PLUGINS = {
-    "matchings": _complete_matchings,
-    "perfect_matchings": _complete_generic,
-    "weighted_matchings": functools.partial(_complete_paired_incidence, kind="weighted_matchings"),
-    "subgraphs_world": functools.partial(_complete_paired_incidence, kind="subgraphs_world"),
-    "ising": functools.partial(_complete_paired_incidence, kind="ising"),
-    "potts": functools.partial(_complete_spin_incidence, kind="potts"),
-    "colorings": functools.partial(_complete_spin_incidence, kind="colorings"),
-    "generic": _complete_generic,
-}
-
-
 # ---------------------------------------------------------------------------
 # marginal estimation
 
@@ -260,20 +243,16 @@ def _ball_distribution(instance, e, cond, completion, r):
         fix_i[e] = i
         subs.append(restrict_instance(instance, fix_i, keep))
     base_inst = subs[0].as_instance()
+    solver = FptSolver(base_inst, instance_decomposition(base_inst)[0])
+    vmap = {v: i for i, v in enumerate(subs[0].vertices)}
     numerators = []
-    if base_inst.graph.n == 0:
-        for sub in subs:
-            numerators.append(sub.scalar.as_fraction())
-    else:
-        solver = FptSolver(base_inst, instance_decomposition(base_inst)[0])
-        vmap = {v: i for i, v in enumerate(subs[0].vertices)}
-        for sub in subs:
-            overrides = {}
-            for v in sub.vertices:
-                if sub.functions[v] is not subs[0].functions[v]:
-                    overrides[vmap[v]] = sub.functions[v]
-            z = solver.holant(overrides)
-            numerators.append((sub.scalar * z).as_fraction())
+    for sub in subs:
+        overrides = {}
+        for v in sub.vertices:
+            if sub.functions[v] is not subs[0].functions[v]:
+                overrides[vmap[v]] = sub.functions[v]
+        z = solver.holant(overrides)
+        numerators.append((sub.scalar * z).as_fraction())
     total = sum(numerators)
     if total == 0:
         raise InfeasibleBoundaryError(
@@ -294,9 +273,12 @@ def marginal_distribution(
     policy: RadiusPolicy,
     *,
     completion: Optional[Mapping[int, int]] = None,
-    search_plugin: Optional[str] = None,
 ) -> tuple[list[Fraction], MarginalReport]:
-    """All q conditional marginals of edge e (they share one denominator and sum to 1)."""
+    """All q conditional marginals of edge e (they share one denominator and sum to 1).
+
+    ``completion`` is a feasible full configuration that agrees with ``cond``;
+    it fills the ball's fringe.  Without one, ``tractable_search`` finds it.
+    """
     g = instance.graph
     if not 0 <= e < g.m:
         raise InvalidArgumentError(f"edge {e} out of range")
@@ -304,7 +286,7 @@ def marginal_distribution(
         dist = [Fraction(i == cond[e]) for i in range(instance.q)]
         return dist, MarginalReport(r_used=0, stabilized=True, full_cover=True)
     if completion is None:
-        completion = tractable_search(instance, dict(cond), search_plugin)
+        completion = tractable_search(instance, dict(cond))
         if completion is None:
             raise FailedPreconditionError("conditioning configuration is infeasible")
     if policy.mode == "fixed":
@@ -384,14 +366,16 @@ def fptas_hol(
     instance: HolantInstance,
     eps,
     policy: Optional[RadiusPolicy] = None,
-    search_plugin: Optional[str] = None,
 ) -> ApproxResult:
     """Approximate the Holant by telescoping estimated conditional marginals.
 
     Edges are pinned in id order to the value with the largest estimated
-    marginal (ties to the smallest value); the result is the pinned
-    configuration's weight divided by the product of recorded probabilities.
-    Exact when every step's radius covers the whole component.
+    marginal (ties to the smallest value) that the tractable search can
+    extend; the result is the pinned configuration's weight divided by the
+    product of recorded probabilities.  The completion found for the chosen
+    value fills the next step's fringe, so a run asks m+1 completion
+    questions when every argmax extends.  Exact when every step's radius
+    covers the whole component.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -407,7 +391,8 @@ def fptas_hol(
             mode="adaptive",
             delta_stab=eps / (8 * q * max(1, m)),
         )
-    if tractable_search(instance, {}, search_plugin) is None:
+    completion = tractable_search(instance, {})
+    if completion is None:
         raise InfeasibleInstanceError("instance has no feasible configuration")
 
     pins: dict[int, int] = {}
@@ -415,14 +400,15 @@ def fptas_hol(
     flags = []
     p_min = Fraction(1)
     for e in range(m):
-        dist, report = marginal_distribution(instance, e, pins, policy, search_plugin=search_plugin)
+        dist, report = marginal_distribution(instance, e, pins, policy, completion=completion)
         order = sorted(range(q), key=lambda i: (-dist[i], i))
         chosen = None
         for i in order:
             if dist[i] == 0:
                 break
-            if tractable_search(instance, {**pins, e: i}, search_plugin) is not None:
-                chosen = i
+            nxt = tractable_search(instance, {**pins, e: i})
+            if nxt is not None:
+                chosen, completion = i, nxt
                 break
         if chosen is None:
             raise InfeasibleBoundaryError(

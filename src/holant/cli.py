@@ -11,10 +11,9 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from .approx import SEARCH_PLUGINS, RadiusPolicy, fptas_hol
+from .approx import RadiusPolicy, fptas_hol
 from .errors import (
     HolantError,
-    InstanceParseError,
     InvalidArgumentError,
     ResourceExhaustedError,
 )
@@ -138,12 +137,8 @@ def _cmd_approx(args):
         policy = RadiusPolicy.fixed(_integer(args.radius.split(":", 1)[1], "--radius"))
     else:
         raise InvalidArgumentError(f"unknown radius policy {args.radius!r}")
-    if args.model_search != "auto" and args.model_search not in SEARCH_PLUGINS:
-        raise InvalidArgumentError(
-            f"unknown search plugin {args.model_search!r}; choose auto or one of {tuple(SEARCH_PLUGINS)}"
-        )
     t0 = time.perf_counter()
-    result = fptas_hol(instance, _rational(args.eps, "--eps"), policy, search_plugin=args.model_search)
+    result = fptas_hol(instance, _rational(args.eps, "--eps"), policy)
     elapsed = time.perf_counter() - t0
     print(f"value: {format_value(result.value)}")
     print(f"approx: {float(result.value.real):.12g}")
@@ -243,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="approximate the Holant via correlation decay")
     p.add_argument("--eps", required=True, help="relative error target (rational)")
     p.add_argument("--radius", default="adaptive", help="adaptive | fixed:<r> | whole")
-    p.add_argument("--model-search", default="auto")
     p.add_argument("file", nargs="?")
     p.set_defaults(func=_cmd_approx)
 
@@ -297,13 +291,7 @@ def main(argv=None) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"error: instance too large ({type(exc).__name__})", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except (InstanceParseError, InvalidArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except HolantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (HolantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

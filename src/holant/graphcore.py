@@ -116,33 +116,6 @@ def random_graph(n: int, m: int, seed=None) -> Graph:
     return Graph(n, rng.sample(pool, m))
 
 
-def random_outerplanar(n: int, extra: int, seed=None) -> Graph:
-    """A cycle plus non-crossing chords in a circular embedding (planar, simple)."""
-    if n < 3:
-        raise InvalidArgumentError("need >= 3 vertices")
-    rng = random.Random(seed)
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    present = set((min(u, v), max(u, v)) for u, v in edges)
-    chords = []
-
-    def crosses(a, b, c, d):
-        return (a < c < b < d) or (c < a < d < b)
-
-    candidates = [(i, j) for i in range(n) for j in range(i + 2, n) if not (i == 0 and j == n - 1)]
-    rng.shuffle(candidates)
-    for i, j in candidates:
-        if len(chords) >= extra:
-            break
-        if (i, j) in present:
-            continue
-        if any(crosses(i, j, a, b) for a, b in chords):
-            continue
-        chords.append((i, j))
-        present.add((i, j))
-        edges.append((i, j))
-    return Graph(n, edges)
-
-
 # ---------------------------------------------------------------------------
 # instances
 

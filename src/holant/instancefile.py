@@ -41,6 +41,8 @@ class InstanceDocument:
 
 
 def _parse_builtin_tokens(q, d, tokens, line_no):
+    if not tokens:
+        raise InstanceParseError(line_no, "builtin needs a kind")
     kind = tokens[0]
     args = tokens[1:]
     try:
@@ -194,7 +196,16 @@ def _parse_model(tokens, graph) -> ModelSpec:
 
 
 def _reconstruct_base_graph(graph, base_n) -> Graph:
-    """Recover the spin-world graph from an incidence instance (edge vertices last)."""
+    """Recover the spin-world graph from an incidence instance (edge vertices last).
+
+    Every edge must join an original vertex to an edge vertex, two per edge
+    vertex; the incidence completions rely on it.
+    """
+    if not 0 <= base_n <= graph.n or graph.m != 2 * (graph.n - base_n):
+        raise InstanceParseError(
+            1, f"base_vertices={base_n} does not match an incidence graph "
+               f"with {graph.n} vertices and {graph.m} edges"
+        )
     base_edges = []
     for ev in range(base_n, graph.n):
         nbrs = sorted(graph.neighbors(ev))

@@ -79,13 +79,6 @@ def _potts_edge_function(q, lam) -> SymmetricFunction:
     return SymmetricFunction(q, 2, table)
 
 
-def _colorings_edge_function(q) -> SymmetricFunction:
-    table = []
-    for comp in compositions(q, 2):
-        table.append(ZERO if 2 in comp else ONE)
-    return SymmetricFunction(q, 2, table)
-
-
 def _unit_vertex_function(q) -> SymmetricFunction:
     return SymmetricFunction(q, 1, [ONE] * q)
 
@@ -128,7 +121,7 @@ def build_model(spec: ModelSpec, graph: Graph) -> HolantInstance:
         q = int(p.get("q", 0))
         if q < 2:
             raise InvalidArgumentError("colorings needs q >= 2")
-        inst = incidence_transform(q, graph, _colorings_edge_function(q), _unit_vertex_function(q))
+        inst = incidence_transform(q, graph, _potts_edge_function(q, 0), _unit_vertex_function(q))
 
     elif kind == "potts":
         q = int(p.get("q", 0))

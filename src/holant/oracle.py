@@ -44,12 +44,6 @@ class GibbsOracle:
     def partition_value(self) -> GaussianRational:
         return self.total
 
-    def probability(self, config) -> Fraction:
-        w = self.weights.get(tuple(config))
-        if w is None:
-            return Fraction(0)
-        return (w / self.total).as_fraction()
-
     def marginal(self, e: int, cond: Optional[Mapping[int, int]] = None) -> list[Fraction]:
         """Exact conditional distribution of edge e given a partial configuration."""
         cond = dict(cond or {})

@@ -60,14 +60,10 @@ class DecompositionNode:
 class SeparatorDecomposition:
     nodes: list
     width: int
-    s_param: Optional[int] = None
 
     @property
     def root(self) -> DecompositionNode:
         return self.nodes[0]
-
-    def __iter__(self):
-        return iter(self.nodes)
 
     def to_text(self) -> str:
         lines = []
@@ -441,7 +437,7 @@ def build_decomposition(
     width = 0
     for node in nodes:
         width = max(width, len(node.s_set), len(vertex_boundary(graph, node.v_set)))
-    return SeparatorDecomposition(nodes, width, s_param=s)
+    return SeparatorDecomposition(nodes, width)
 
 
 def find_min_width(

@@ -166,9 +166,6 @@ class BooleanSymmetricFunction:
             _bool_registry[key] = self
             return self
 
-    def __contains__(self, comp):
-        return tuple(comp) in self.members
-
     def __len__(self):
         return len(self.members)
 
@@ -177,11 +174,6 @@ class BooleanSymmetricFunction:
 
     def is_full(self) -> bool:
         return len(self.members) == composition_count(self.q, self.k)
-
-    def union(self, other: "BooleanSymmetricFunction") -> "BooleanSymmetricFunction":
-        if (self.q, self.k) != (other.q, other.k):
-            raise InvalidArgumentError("union of boolean functions with different shapes")
-        return BooleanSymmetricFunction(self.q, self.k, self.members | other.members)
 
     def to_function(self) -> SymmetricFunction:
         """The same object as a 0/1-valued SymmetricFunction."""
@@ -193,10 +185,6 @@ class BooleanSymmetricFunction:
     @staticmethod
     def full(q: int, k: int) -> "BooleanSymmetricFunction":
         return BooleanSymmetricFunction(q, k, compositions(q, k))
-
-    @staticmethod
-    def empty(q: int, k: int) -> "BooleanSymmetricFunction":
-        return BooleanSymmetricFunction(q, k, ())
 
     def __repr__(self):
         shown = ",".join(str(m) for m in sorted(self.members))
@@ -346,17 +334,6 @@ def evaluate_by_peers(f: SymmetricFunction, reps: Sequence[Sequence[int]]) -> Ga
 
 # ---------------------------------------------------------------------------
 # builtins
-
-BUILTIN_KINDS = (
-    "equality",
-    "at_most_one",
-    "exact_one",
-    "cyclic",
-    "cyclic_with_exceptions",
-    "explicit_boolean_weights",
-    "explicit_table",
-)
-
 
 def builtin(kind: str, q: int, d: int, **params) -> SymmetricFunction:
     """Construct a named constraint function.

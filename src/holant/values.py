@@ -140,8 +140,6 @@ class GaussianRational:
         return format_value(self)
 
 
-Value = GaussianRational
-
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import random_instance
 from holant import (
     FailedPreconditionError,
+    HolantError,
     HolantInstance,
     InfeasibleInstanceError,
     InvalidArgumentError,
@@ -21,6 +23,8 @@ from holant import (
     path_graph,
     tractable_search,
 )
+from holant import approx
+from holant.approx import _complete_generic
 from holant.models import ModelSpec, build_model
 from holant.oracle import gibbs_oracle
 
@@ -103,17 +107,25 @@ def test_search_colorings_greedy():
         assert shared_u != shared_v
 
 
-def test_search_explicit_generic_plugin():
-    inst = matchings(cycle_graph(4))
-    out = tractable_search(inst, {1: 1}, "generic")
-    assert out is not None and out[1] == 1
-    assert inst.weight(tuple(out[e] for e in range(inst.graph.m)))
-    assert tractable_search(inst, {0: 1, 1: 1}, "generic") is None
-
-
-def test_search_unknown_plugin_rejected():
-    with pytest.raises(InvalidArgumentError):
-        tractable_search(matchings(path_graph(3)), {}, "bogus")
+def test_search_model_completions_are_the_smallest_feasible_extension():
+    # the generic search is the greedy lexicographically smallest feasible
+    # extension, computed from the tables alone; every direct completion must
+    # find the same one (or None with it)
+    rng = random.Random(5)
+    for g in (path_graph(3), cycle_graph(3), cycle_graph(4)):
+        specs = (
+            ModelSpec("matchings", {}),
+            ModelSpec("weighted_matchings", {"edge_weights": [Fraction(k + 1, 2) for k in range(g.m)]}),
+            ModelSpec("subgraphs_world", {"lambda": Fraction(1, 2), "mu": Fraction(1, 3)}),
+            ModelSpec("ising", {"beta": Fraction(1, 3), "B": Fraction(1, 4)}),
+            ModelSpec("potts", {"q": 3, "lambda": 2}),
+        )
+        for spec in specs:
+            inst = build_model(spec, g)
+            for _ in range(19):
+                edges = rng.sample(range(inst.graph.m), rng.randint(0, min(3, inst.graph.m)))
+                partial = {e: rng.randrange(inst.q) for e in edges}
+                assert tractable_search(inst, partial) == _complete_generic(inst, partial), (spec.kind, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +277,50 @@ def test_fptas_step_records():
         product *= rec.probability
     config = tuple(rec.chosen for rec in sorted(res.steps, key=lambda r: r.edge))
     assert res.value == inst.weight(config) * (1 / product)
+
+
+@pytest.mark.parametrize("inst", [
+    matchings(grid_graph(3, 3)),
+    build_model(ModelSpec("perfect_matchings", {}), cycle_graph(6)),
+    build_model(ModelSpec("potts", {"q": 3, "lambda": 2}), cycle_graph(4)),
+], ids=["grid3x3-matchings", "c6-perfect-matchings", "c4-potts"])
+def test_fptas_asks_each_completion_question_once(inst, monkeypatch):
+    # the completion that shows the chosen value extends fills the next step's
+    # fringe: one question for the instance, then one per step
+    asked = []
+    search = approx.tractable_search
+
+    def recording(instance, partial):
+        asked.append(tuple(sorted(partial.items())))
+        return search(instance, partial)
+
+    monkeypatch.setattr(approx, "tractable_search", recording)
+    res = fptas_hol(inst, Fraction(1, 10))
+    assert not res.flags
+    assert len(set(asked)) == len(asked) == inst.graph.m + 1
+
+
+def _fptas_record(inst):
+    try:
+        res = fptas_hol(inst, Fraction(1, 10))
+    except HolantError as exc:
+        return f"error {type(exc).__name__}\n"
+    lines = [f"value {res.value} certified {res.certified} p_min {res.p_min} flags {res.flags}"]
+    for s in res.steps:
+        r = s.report
+        lines.append(f"step {s.edge} {s.chosen} {s.probability} {r.radii} {r.gaps} {r.stabilized} {r.full_cover}")
+    return "\n".join(lines) + "\n"
+
+
+def test_fptas_golden_random_draws():
+    # one digest over the adaptive FPTAS result and every step record of 100
+    # seeded random instances, so a change to the search or the fringe fill
+    # must leave every value, radius and gap as it was
+    rng = random.Random(9)
+    h = hashlib.sha256()
+    for _ in range(100):
+        h.update(_fptas_record(random_instance(rng)).encode())
+    assert h.hexdigest() == "52cc45cff1169da772be1a1cab18ee811f03595a762c87b3b2e3247b6f54dc95"
 
 
 # Weighted equality functions at vertices 0, 1 and 5 carry the fringe fill

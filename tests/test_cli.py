@@ -94,13 +94,6 @@ def test_approx_whole_radius():
     assert "certified: yes" in out
 
 
-def test_approx_unknown_search_plugin(capsys):
-    text = model_text(["matchings", "--graph", "path:3"])
-    code, _ = run_cli(["approx", "--eps", "1/10", "--model-search", "bogus"], stdin_text=text)
-    assert code == EXIT_INVALID
-    assert "error: unknown search plugin 'bogus'" in capsys.readouterr().err
-
-
 def test_oracle_subcommand():
     text = model_text(["matchings", "--graph", "path:3"])
     code, out = run_cli(["oracle", "--edge", "0"], stdin_text=text)
@@ -119,6 +112,23 @@ def test_malformed_function_names_vertex():
     bad = "holant 1\nq 2\nvertices 2\nedge 0 1\nfunction 0 table 1 1\nfunction 1 table 1\n"
     code, _ = run_cli(["exact"], stdin_text=bad)
     assert code == EXIT_INVALID
+
+
+def test_builtin_without_kind_exits_2(capsys):
+    text = "holant 1\nq 2\nvertices 1\nfunction 0 builtin\n"
+    code, _ = run_cli(["exact"], stdin_text=text)
+    assert code == EXIT_INVALID
+    assert "error: line 4: builtin needs a kind" in capsys.readouterr().err
+
+
+def test_base_vertices_must_match_the_incidence_graph(capsys):
+    # every edge of an incidence instance joins an original vertex to an edge
+    # vertex; a base vertex count that breaks this is a parse error
+    text = model_text(["subgraphs_world", "--graph", "path:3", "--lambda", "1/2", "--mu", "1/3"])
+    assert "base_vertices=3" in text
+    code, _ = run_cli(["approx", "--eps", "1/10"], stdin_text=text.replace("base_vertices=3", "base_vertices=5"))
+    assert code == EXIT_INVALID
+    assert "error: line 1: base_vertices=5 does not match" in capsys.readouterr().err
 
 
 def test_resource_exhaustion_exit_code():

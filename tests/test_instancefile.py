@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instance
 from holant import (
@@ -10,6 +12,7 @@ from holant import (
     cycle_graph,
     parse_instance,
     parse_instance_document,
+    path_graph,
     serialize_instance,
     tractable_search,
 )
@@ -80,7 +83,7 @@ def test_model_provenance_round_trip():
     again = parse_instance(text)
     assert again.model.kind == "subgraphs_world"
     assert again.model.base_graph.edges == cycle_graph(3).edges
-    # the reconstructed provenance drives the completion plugin
+    # the reconstructed provenance picks the model completion
     assert tractable_search(again, {}) is not None
 
 
@@ -90,6 +93,12 @@ def test_parse_errors_carry_line_numbers():
         parse_instance(bad)
     assert info.value.line_no == 8
     assert "vertex 2" in str(info.value)
+
+
+def test_parse_builtin_without_kind():
+    with pytest.raises(InstanceParseError) as info:
+        parse_instance(SAMPLE.replace("function 0 builtin at_most_one", "function 0 builtin"))
+    assert info.value.line_no == 6
 
 
 def test_parse_missing_header():
@@ -120,3 +129,63 @@ def test_comments_and_blank_lines():
     text = SAMPLE.replace("edge 0 1", "# a comment\n\nedge 0 1  # trailing")
     inst = parse_instance(text)
     assert inst.graph.m == 2
+
+
+BUILTIN_FORMS = """\
+holant 1
+q 2
+vertices 4
+edge 0 1
+edge 1 2
+edge 2 3
+edge 3 0
+function 0 builtin cyclic 2 1 1/2
+function 1 builtin cyclic_with_exceptions 2 1 0 0=3 2=1/2
+function 2 builtin equality 2 3
+function 3 builtin explicit_boolean_weights 1 2 0
+"""
+FUZZ_TEXTS = [SAMPLE, BUILTIN_FORMS] + [
+    serialize_instance(build_model(ModelSpec(kind, params), graph))
+    for kind, params, graph in (
+        ("subgraphs_world", {"lambda": Fraction(1, 2), "mu": Fraction(1, 3)}, path_graph(3)),
+        ("potts", {"q": 3, "lambda": 2}, cycle_graph(3)),
+    )
+]
+FUZZ_TOKENS = ("", "0", "1", "2", "3", "9", "-1", "1/0", "1/2+1/3i", "x", "=", "0=", "=1",
+               "builtin", "table", "function", "edge", "model", "q", "vertices",
+               "base_vertices=0", "base_vertices=9", "base_vertices=-1", "lambda=1/0")
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid instance text with a few tokens replaced, inserted or deleted, or lines dropped or copied."""
+    lines = [line.split() for line in draw(st.sampled_from(FUZZ_TEXTS)).splitlines()]
+    pool = sorted({tok for line in lines for tok in line}) + list(FUZZ_TOKENS)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "insert", "delete", "drop_line", "copy_line"]))
+        if op in ("drop_line", "copy_line"):
+            i = draw(st.integers(0, len(lines) - 1))
+            if op == "drop_line":
+                del lines[i]
+            else:
+                lines.insert(draw(st.integers(0, len(lines))), list(lines[i]))
+        else:
+            i, j = draw(st.sampled_from([(i, j) for i, line in enumerate(lines) for j in range(len(line))]))
+            if op == "insert":
+                lines[i].insert(j, draw(st.sampled_from(pool)))
+            elif op == "replace":
+                lines[i][j] = draw(st.sampled_from(pool))
+            else:
+                del lines[i][j]
+        if not any(lines):
+            break
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(mutated_texts())
+def test_parse_fuzz_raises_only_parse_errors(text):
+    try:
+        parse_instance_document(text)
+    except InstanceParseError:
+        pass

@@ -5,11 +5,11 @@ import pkgutil
 from weakref import WeakValueDictionary
 
 import holant
-from holant import approx, symfun
+from holant import symfun
 
-# the intern registries that make a function's uid meaningful, and the search
-# plugin table (which cli re-imports)
-ALLOWED = (symfun._fn_registry, symfun._bool_registry, approx.SEARCH_PLUGINS)
+# the intern registries that make a function's uid meaningful are the only
+# process-wide tables
+ALLOWED = (symfun._fn_registry, symfun._bool_registry)
 
 
 def test_no_module_global_containers_beyond_the_registries():
