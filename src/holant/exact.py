@@ -14,6 +14,15 @@ representatives, so only child-side images are enumerated, and pairs whose
 pinned function vanishes are skipped.  The literal three-image enumeration, as
 the recursion is stated, lives in ``oracle.literal_recursion_hol`` as an
 independent cross-check.
+
+The memo is lifted over the domain's symmetry.  A permutation sigma of [q]
+acts on a function by moving each value a to sigma(a), and relabelling every
+function of a Holant by one sigma leaves its value unchanged: Z(F) =
+Z(sigma·F).  When sigma fixes every function of a call, it follows that
+Z(U, {phi_v}) = Z(U, {sigma·phi_v}), so the solver keys each sub-Holant by one
+image of its boundary constraints under such sigmas, and all symmetric copies
+share that entry.  Potts models and colorings are invariant under every
+permutation, so on them the memo shrinks by orders of magnitude.
 """
 
 from __future__ import annotations
@@ -33,7 +42,10 @@ from .symfun import (
     composition_of,
     compositions,
     pin,
+    relabel,
     survivor_pairs,
+    value_blocks,
+    value_profiles,
     worst_pair_count,
 )
 from .values import ONE, ZERO, GaussianRational
@@ -251,6 +263,36 @@ class _NodeInfo:
         self.h0_order = h0_order
 
 
+def _refine(blocks, funcs):
+    """The blocks of values interchangeable within ``blocks`` and for every one
+    of ``funcs``, labelled by their smallest value; None when all are singletons."""
+    for f in funcs:
+        first = {}
+        blocks = tuple(first.setdefault(pair, a) for a, pair in enumerate(zip(blocks, value_blocks(f))))
+        if len(first) == len(blocks):
+            return None
+    return blocks
+
+
+def _sorting_sigma(blocks, funcs):
+    """A relabelling within ``blocks`` that orders each block's values by their
+    profiles in ``funcs``, ties by value; None when it is the identity."""
+    if not funcs:
+        return None
+    keys = list(zip(*(value_profiles(f) for f in funcs)))  # value -> its profile in each of funcs
+    members = {}
+    for a, b in enumerate(blocks):
+        members.setdefault(b, []).append(a)
+    sigma = list(range(len(blocks)))
+    for values in members.values():
+        if len(values) > 1:
+            for target, a in zip(values, sorted(values, key=keys.__getitem__)):
+                sigma[a] = target
+    if all(s == a for a, s in enumerate(sigma)):
+        return None
+    return tuple(sigma)
+
+
 class FptSolver:
     """Memoized evaluator of the separator-decomposition recursion.
 
@@ -261,6 +303,20 @@ class FptSolver:
     carry the uids of the overrides inside each node's region, and ``holant``
     keeps no per-call state on the solver, so calls may run concurrently.  The
     ``stats`` counters are not synchronised across threads.
+
+    Memo keys are lifted.  The solver's group is generated by the transpositions
+    of domain values that fix every function of the instance; it is stored as
+    blocks of interchangeable values, or None when it is trivial, in which case
+    no key is relabelled.  A call first relabels its overrides by a sigma in that
+    group, which fixes every function it does not override, so the value is
+    unchanged; calls that pin different but interchangeable values thus share
+    their memo entries.  The blocks, refined by the relabelled overrides, then
+    form the call's group, which fixes every function of the call.  ``_z``
+    relabels each boundary-constraint tuple phi within those blocks, which
+    keeps Z(node, phi).  Every sigma is chosen by sorting the values of a block
+    by a profile that relabelling carries along, so symmetric copies tend to
+    meet in one key; any choice would be correct, and the memo stores the exact
+    value of the key it names.
     """
 
     def __init__(self, instance: HolantInstance, decomposition: SeparatorDecomposition):
@@ -272,8 +328,11 @@ class FptSolver:
         self.stats = FptStats()
         self._memo = {}
         self._z0_memo = {}
+        self._lifted = {}  # (blocks, phi uids) -> the canonical phi and its uids
         self._boundary = {}
         self._info = {}
+        # computed here, not on first use, so that concurrent calls see one value
+        self._blocks = _refine((0,) * instance.q, dict.fromkeys(instance.functions))
         g = instance.graph
         for node in decomposition.nodes:
             self._boundary[node.id] = tuple(sorted(vertex_boundary(g, node.v_set)))
@@ -333,6 +392,7 @@ class FptSolver:
         """Z(V, {}) for the instance, with optional per-vertex function overrides."""
         g = self.instance.graph
         funcs = list(self.instance.functions)
+        blocks = self._blocks
         sigs = None  # node id -> (vertex, uid) of each override in its region
         if function_overrides:
             for v, f in function_overrides.items():
@@ -340,28 +400,55 @@ class FptSolver:
                     raise InvalidArgumentError(f"override vertex {v} out of range")
                 if f.q != self.instance.q or f.d != g.degree(v):
                     raise InvalidArgumentError(f"override at vertex {v} has wrong shape")
-                funcs[v] = f
             items = sorted(function_overrides.items())
+            if blocks is not None:
+                # sigma fixes every function not overridden, so Z is unchanged,
+                # and calls that differ by such a relabelling share one memo
+                sigma = _sorting_sigma(blocks, [f for _, f in items])
+                if sigma is not None:
+                    items = [(v, relabel(f, sigma)) for v, f in items]
+                blocks = _refine(blocks, [f for _, f in items])
+            for v, f in items:
+                funcs[v] = f
             sigs = {node.id: tuple((v, f.uid) for v, f in items if v in node.v_set)
                     for node in self.dec.nodes}
-        return self._z(self.dec.root.id, (), funcs, sigs)
+        return self._z(self.dec.root.id, (), funcs, sigs, blocks)
 
     # -- internals ----------------------------------------------------------
 
-    def _z(self, node_id, phi, funcs, sigs) -> GaussianRational:
+    def _z(self, node_id, phi, funcs, sigs, blocks) -> GaussianRational:
         node = self.dec.nodes[node_id]
         if node.is_leaf():
             return ONE
-        key = (node_id, tuple(c.uid for c in phi), sigs[node_id] if sigs else ())
+        phi_uids = tuple(c.uid for c in phi)
+        if blocks is not None:
+            phi, phi_uids = self._lift(blocks, phi, phi_uids)
+        key = (node_id, phi_uids, sigs[node_id] if sigs else ())
         got = self._memo.get(key)
         if got is not None:
             return got
-        value = self._expand(node_id, phi, funcs, sigs)
+        value = self._expand(node_id, phi, funcs, sigs, blocks)
         self._memo[key] = value
         self.stats.memo_entries += 1
         return value
 
-    def _expand(self, node_id, phi, funcs, sigs) -> GaussianRational:
+    def _lift(self, blocks, phi, phi_uids):
+        """The image of ``phi`` under a relabelling within ``blocks``, with its uids.
+
+        The relabelling fixes every function of the call, so Z(node, phi)
+        equals Z(node, image); symmetric images of one phi share an image.
+        """
+        key = (blocks, phi_uids)
+        got = self._lifted.get(key)
+        if got is None:
+            sigma = _sorting_sigma(blocks, phi)
+            if sigma is not None:
+                phi = tuple(relabel(c, sigma) for c in phi)
+                phi_uids = tuple(c.uid for c in phi)
+            got = self._lifted[key] = (phi, phi_uids)
+        return got
+
+    def _expand(self, node_id, phi, funcs, sigs, blocks) -> GaussianRational:
         info = self._info[node_id]
         j, k = info.children
         bd_pos = {v: i for i, v in enumerate(self._boundary[node_id])}
@@ -384,7 +471,7 @@ class FptSolver:
         stats = self.stats
         total = ZERO
         for c1_joint in product(*outer):
-            z1 = self._z(j, tuple(c1_joint[p][0] for p in bd1_pos), funcs, sigs)
+            z1 = self._z(j, tuple(c1_joint[p][0] for p in bd1_pos), funcs, sigs, blocks)
             if not z1:
                 stats.terms += 1
                 continue
@@ -399,7 +486,7 @@ class FptSolver:
                 key2 = tuple(c2_joint[p][0].uid for p in bd2_pos)
                 z2 = z_memo.get((k, key2, sig2))
                 if z2 is None:
-                    z2 = self._z(k, tuple(c2_joint[p][0] for p in bd2_pos), funcs, sigs)
+                    z2 = self._z(k, tuple(c2_joint[p][0] for p in bd2_pos), funcs, sigs, blocks)
                 if not z2:
                     continue
                 total = total + z0 * z1 * z2

@@ -82,6 +82,8 @@ def parse_instance_document(text: str) -> InstanceDocument:
     edges = []
     function_lines = []  # (line_no, vertex, tokens)
     model_tokens = None
+    model_line = None
+    seen = set()  # the directives that may appear once
     saw_header = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -90,6 +92,10 @@ def parse_instance_document(text: str) -> InstanceDocument:
             continue
         tokens = line.split()
         head = tokens[0]
+        if head in ("q", "vertices", "model"):
+            if head in seen:
+                raise InstanceParseError(line_no, f"repeated {head!r} line")
+            seen.add(head)
         if head == "holant":
             if len(tokens) != 2 or tokens[1] != FORMAT_VERSION:
                 raise InstanceParseError(line_no, f"unsupported format version {line!r}")
@@ -114,6 +120,7 @@ def parse_instance_document(text: str) -> InstanceDocument:
             if len(tokens) < 2:
                 raise InstanceParseError(line_no, "model needs a kind")
             model_tokens = tuple(tokens[1:])
+            model_line = line_no
         elif head == "function":
             try:
                 v = int(tokens[1])
@@ -167,17 +174,17 @@ def parse_instance_document(text: str) -> InstanceDocument:
     if missing:
         raise InstanceParseError(1, f"no function given for vertex {missing[0]}")
 
-    model_spec = _parse_model(model_tokens, graph) if model_tokens else None
+    model_spec = _parse_model(model_tokens, graph, model_line) if model_tokens else None
     return InstanceDocument(q, graph, functions, sources, model_spec)
 
 
-def _parse_model(tokens, graph) -> ModelSpec:
+def _parse_model(tokens, graph, line_no) -> ModelSpec:
     kind = tokens[0]
     params = {}
     base_n = None
     for tok in tokens[1:]:
         if "=" not in tok:
-            raise InstanceParseError(1, f"model parameter {tok!r} must be key=value")
+            raise InstanceParseError(line_no, f"model parameter {tok!r} must be key=value")
         key, val = tok.split("=", 1)
         try:
             if key == "base_vertices":
@@ -185,17 +192,17 @@ def _parse_model(tokens, graph) -> ModelSpec:
             else:
                 params[key] = Fraction(val)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceParseError(1, f"bad model parameter {tok!r}: {exc}") from exc
+            raise InstanceParseError(line_no, f"bad model parameter {tok!r}: {exc}") from exc
     try:
         spec = ModelSpec(kind, params)
     except InvalidArgumentError as exc:
-        raise InstanceParseError(1, str(exc)) from exc
+        raise InstanceParseError(line_no, str(exc)) from exc
     if base_n is not None:
-        spec.base_graph = _reconstruct_base_graph(graph, base_n)
+        spec.base_graph = _reconstruct_base_graph(graph, base_n, line_no)
     return spec
 
 
-def _reconstruct_base_graph(graph, base_n) -> Graph:
+def _reconstruct_base_graph(graph, base_n, line_no) -> Graph:
     """Recover the spin-world graph from an incidence instance (edge vertices last).
 
     Every edge must join an original vertex to an edge vertex, two per edge
@@ -203,14 +210,14 @@ def _reconstruct_base_graph(graph, base_n) -> Graph:
     """
     if not 0 <= base_n <= graph.n or graph.m != 2 * (graph.n - base_n):
         raise InstanceParseError(
-            1, f"base_vertices={base_n} does not match an incidence graph "
+            line_no, f"base_vertices={base_n} does not match an incidence graph "
                f"with {graph.n} vertices and {graph.m} edges"
         )
     base_edges = []
     for ev in range(base_n, graph.n):
         nbrs = sorted(graph.neighbors(ev))
         if len(nbrs) != 2 or any(u >= base_n for u in nbrs):
-            raise InstanceParseError(1, f"vertex {ev} is not a valid incidence edge vertex")
+            raise InstanceParseError(line_no, f"vertex {ev} is not a valid incidence edge vertex")
         base_edges.append((nbrs[0], nbrs[1]))
     return Graph(base_n, base_edges)
 

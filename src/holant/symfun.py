@@ -9,7 +9,8 @@ value per weight-d composition, in lexicographic composition order.
 Functions are interned: constructing the same (q, d, table) twice yields the
 same object, with a process-stable ``uid`` usable as a memo key.  Each interned
 function carries the data derived from it, filled on first use: its pins, peer
-partitions, surviving peer-image pairs and worst pair count.  The two intern
+partitions, surviving peer-image pairs, worst pair count, interchangeable
+domain values, per-value profiles and relabelled images.  The two intern
 registries are the only process-wide tables.
 """
 
@@ -79,7 +80,8 @@ _next_uid = itertools.count()
 class SymmetricFunction:
     """A symmetric function over [q] of arity d, stored as a composition-indexed table."""
 
-    __slots__ = ("q", "d", "table", "uid", "_is_zero", "_pins", "_peers", "_pairs", "_pair_count")
+    __slots__ = ("q", "d", "table", "uid", "_is_zero", "_pins", "_peers", "_pairs", "_pair_count",
+                 "_blocks", "_profiles", "_images")
 
     def __new__(cls, q: int, d: int, table):
         if q < 2:
@@ -106,6 +108,9 @@ class SymmetricFunction:
             self._peers = {}  # k -> peer_partition(self, k)
             self._pairs = {}  # (d1, d2) -> survivor_pairs(self, d1, d2)
             self._pair_count = None
+            self._blocks = None
+            self._profiles = None
+            self._images = None  # sigma -> relabel(self, sigma), made on first use
             _fn_registry[key] = self
             return self
 
@@ -144,7 +149,7 @@ class SymmetricFunction:
 class BooleanSymmetricFunction:
     """A 0/1 symmetric function of arity k, i.e. a set of weight-k compositions."""
 
-    __slots__ = ("q", "k", "members", "uid", "_as_fn")
+    __slots__ = ("q", "k", "members", "uid", "_as_fn", "_profiles", "_images")
 
     def __new__(cls, q: int, k: int, members: Iterable[tuple[int, ...]]):
         mem = frozenset(tuple(m) for m in members)
@@ -163,6 +168,8 @@ class BooleanSymmetricFunction:
             self.members = mem
             self.uid = next(_next_uid)
             self._as_fn = None
+            self._profiles = None
+            self._images = None  # sigma -> relabel(self, sigma), made on first use
             _bool_registry[key] = self
             return self
 
@@ -313,6 +320,91 @@ def worst_pair_count(f: SymmetricFunction) -> int:
               for k1 in range(f.d + 1) for k2 in range(f.d - k1 + 1)),
         )
     return f._pair_count
+
+
+# ---------------------------------------------------------------------------
+# domain symmetry
+
+def value_blocks(f: SymmetricFunction) -> tuple[int, ...]:
+    """One block label per domain value: the smallest value interchangeable with it.
+
+    Values a and b are interchangeable for f when f's table is invariant under
+    the transposition (a b).  The relation is an equivalence, since
+    (a c) = (a b)(b c)(a b), so each value is tested against one representative
+    per block; the blocks generate the group of relabellings that fix f.
+    """
+    got = f._blocks
+    if got is None:
+        comps = compositions(f.q, f.d)
+        idx = composition_index(f.q, f.d)
+        table = f.table
+
+        def swap_invariant(a, b):
+            for c, v in zip(comps, table):
+                if c[a] != c[b]:
+                    s = list(c)
+                    s[a], s[b] = c[b], c[a]
+                    if table[idx[tuple(s)]] != v:
+                        return False
+            return True
+
+        labels = []
+        reps = []
+        for a in range(f.q):
+            label = next((r for r in reps if swap_invariant(r, a)), None)
+            if label is None:
+                reps.append(a)
+                label = a
+            labels.append(label)
+        got = f._blocks = tuple(labels)
+    return got
+
+
+def value_profiles(f) -> tuple:
+    """Per domain value a, a summary of f that every relabelling carries along.
+
+    For a SymmetricFunction the sorted (count of a, value) pairs of its nonzero
+    entries; for a BooleanSymmetricFunction the sorted counts of a over its
+    members.  The profile of sigma(a) in relabel(f, sigma) equals that of a in
+    f, so sorting values by profile picks a relabelling that orbits share.
+    """
+    got = f._profiles
+    if got is None:
+        if isinstance(f, BooleanSymmetricFunction):
+            got = tuple(tuple(sorted(m[a] for m in f.members)) for a in range(f.q))
+        else:
+            entries = [(c, v.re, v.im) for c, v in zip(compositions(f.q, f.d), f.table) if v]
+            got = tuple(tuple(sorted((c[a], re, im) for c, re, im in entries)) for a in range(f.q))
+        f._profiles = got
+    return got
+
+
+def relabel(f, sigma: tuple[int, ...]):
+    """The image of f under the domain permutation sigma: value a becomes sigma[a].
+
+    For a SymmetricFunction, g(c) = f(c') with c'[a] = c[sigma[a]]; for a
+    BooleanSymmetricFunction, each member m maps to m' with m'[sigma[a]] = m[a].
+    The image is interned, so its uid is a valid memo key.  The Holant of an
+    instance equals that of its image with every function relabelled by one
+    sigma.
+    """
+    images = f._images
+    if images is None:
+        images = f._images = {}
+    got = images.get(sigma)
+    if got is not None:
+        return got
+    if isinstance(f, BooleanSymmetricFunction):
+        inv = [0] * f.q
+        for a, b in enumerate(sigma):
+            inv[b] = a
+        got = BooleanSymmetricFunction(f.q, f.k, (tuple(m[inv[b]] for b in range(f.q)) for m in f.members))
+    else:
+        idx = composition_index(f.q, f.d)
+        got = SymmetricFunction(f.q, f.d, [f.table[idx[tuple(c[s] for s in sigma)]]
+                                           for c in compositions(f.q, f.d)])
+    images[sigma] = got
+    return got
 
 
 def evaluate_by_peers(f: SymmetricFunction, reps: Sequence[Sequence[int]]) -> GaussianRational:

@@ -128,7 +128,14 @@ def test_base_vertices_must_match_the_incidence_graph(capsys):
     assert "base_vertices=3" in text
     code, _ = run_cli(["approx", "--eps", "1/10"], stdin_text=text.replace("base_vertices=3", "base_vertices=5"))
     assert code == EXIT_INVALID
-    assert "error: line 1: base_vertices=5 does not match" in capsys.readouterr().err
+    assert "error: line 8: base_vertices=5 does not match" in capsys.readouterr().err
+
+
+def test_model_line_errors_carry_its_line_number(capsys):
+    text = "holant 1\nq 2\nvertices 2\nedge 0 1\nmodel banana\nfunction 0 table 1 1\nfunction 1 table 1 1\n"
+    code, _ = run_cli(["exact"], stdin_text=text)
+    assert code == EXIT_INVALID
+    assert "error: line 5: " in capsys.readouterr().err
 
 
 def test_resource_exhaustion_exit_code():

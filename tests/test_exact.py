@@ -17,17 +17,20 @@ from holant import (
     brute_force_hol,
     builtin,
     complete_graph,
+    cube_graph,
     cycle_graph,
     fpt_hol,
     from_boolean_weights,
     grid_graph,
     hol_with_boundary,
     path_graph,
+    prism_graph,
+    restrict_instance,
     simple_dp_hol,
 )
 from holant.exact import FptSolver, instance_decomposition
 from holant.oracle import literal_recursion_hol
-from holant.symfun import SymmetricFunction, composition_count
+from holant.symfun import SymmetricFunction, composition_count, compositions
 from holant.values import GaussianRational
 
 
@@ -153,6 +156,117 @@ def test_exact_solvers_agree_on_random_instances(inst):
     decomp, _ = instance_decomposition(inst)
     assert simple_dp_hol(inst) == brute_force_hol(inst) == fpt_hol(inst, decomp) \
         == literal_recursion_hol(inst, decomp)
+
+
+def _symmetric_table(draw, q, d, partition):
+    """A table whose value depends only on the sorted counts within each block
+    of ``partition``: invariant under every relabelling inside the blocks."""
+    comps = compositions(q, d)
+    keys = [tuple(tuple(sorted(c[a] for a in block)) for block in partition) for c in comps]
+    distinct = sorted(set(keys))
+    values = draw(st.lists(st.one_of(st.just(0), SMALL_FRACTIONS), min_size=len(distinct),
+                           max_size=len(distinct)))
+    value_of = dict(zip(distinct, values))
+    return builtin("explicit_table", q, d, values=[value_of[k] for k in keys])
+
+
+@st.composite
+def domain_symmetric_instances(draw):
+    """Instances whose functions are all invariant under relabelling within the
+    blocks of one partition of the domain, drawn per instance."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    max_edges = {2: 10, 3: 9, 4: 7}[q]
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g = random_instance(rng, max_n=7, max_edges=max_edges, qs=(q,)).graph
+    k = draw(st.sampled_from([1, 2, q]))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=q, max_size=q))
+    partition = [tuple(a for a in range(q) if labels[a] == b) for b in sorted(set(labels))]
+    funcs = []
+    for v in range(g.n):
+        d = g.degree(v)
+        kind = draw(st.sampled_from(["potts", "colorings", "sorted", "blocks", "constant", "equality"]))
+        if kind in ("potts", "colorings"):
+            same = 0 if kind == "colorings" else draw(SMALL_FRACTIONS)
+            other = 1 if kind == "colorings" else draw(SMALL_FRACTIONS)
+            funcs.append(builtin("explicit_table", q, d,
+                                 values=[same if max(c) == d else other for c in compositions(q, d)]))
+        elif kind in ("sorted", "blocks"):
+            funcs.append(_symmetric_table(draw, q, d, [tuple(range(q))] if kind == "sorted" else partition))
+        elif kind == "constant":
+            w = draw(SMALL_FRACTIONS)
+            funcs.append(builtin("cyclic", q, d, c=1, values=[w] if q == 2 else {(0,) * q: w}))
+        else:  # weights repeat within each block
+            block_weights = draw(st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2)]), min_size=k, max_size=k))
+            funcs.append(builtin("equality", q, d, weights=[block_weights[labels[a]] for a in range(q)]))
+    return HolantInstance(g, q, funcs)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(domain_symmetric_instances(), st.data())
+def test_lifted_memo_agrees_on_domain_symmetric_instances(inst, data):
+    # lifted keys share one memo entry across relabelled sub-problems; with and
+    # without overrides, each value must still be the brute-force one
+    want = brute_force_hol(inst)
+    decomp, _ = instance_decomposition(inst)
+    assert simple_dp_hol(inst) == want == FptSolver(inst, decomp).holant()
+    # the pattern of a ball's numerators: pin edge e to each value in turn, on
+    # one solver built for e = 0, overriding the pinned functions at its ends
+    g = inst.graph
+    e = data.draw(st.integers(0, g.m - 1))
+    keep = [x for x in range(g.m) if x != e]
+    subs = [restrict_instance(inst, {e: i}, keep) for i in range(inst.q)]
+    base = subs[0].as_instance()
+    solver = FptSolver(base, instance_decomposition(base)[0])
+    vmap = {v: i for i, v in enumerate(subs[0].vertices)}
+    for i in data.draw(st.permutations(range(inst.q))):
+        sub = subs[i]
+        overrides = {vmap[v]: f for v, f in sub.functions.items() if f is not subs[0].functions[v]}
+        assert solver.holant(overrides) == brute_force_hol(sub.as_instance())
+
+
+# Z of Potts q=10, beta=1/5 on the prism and the cube, as the unlifted recursion
+# computed it
+POTTS_Q10_PRISM = Fraction(
+    "7276653869460311860262185506483516899205015576722100279277818268529617130184558779330522"
+    "6490666890892035247533206742795545303696393113318727143611981519817127190166667964142928"
+    "1841358277564373878005817117663538965885950097124578745009829949718376212960555076046629"
+    "16871646109805419336912588438436999216155623631759374149872181515452823479891221068645/5"
+    "9738601067233466281281634491411842587046693108828905322456442940351267378996053048619984"
+    "3146073943284334419012436611782660732503467149908694664227443463141465473368862115449737"
+    "4002265333589296837114532435725383016417751765120478377836731655888674105947250192370582"
+    "4093383596292495753904407271199775319567834517805828939983656912225009196335104"
+)
+POTTS_Q10_CUBE = Fraction(
+    "3826613346157482692098164060432106527719306637901211667692314660919652588386491140695861"
+    "4661815296797620646545117802061189194617458221596263924455504064657948743398202926264938"
+    "7132995259162557887318779974270929489913678800266365091948836599011650871962376429605558"
+    "5827510444459961426098235830620220828709625273000941222991475880967500826272505857692490"
+    "2349663254138722402211217456939301503081301779163290699047681339335637623506540719464395"
+    "396953801975252080254815365/294227591176883860910658765384315687611339507805870233320272"
+    "8319171456776845462891441754179818537658280577107276474615219558614476068064361535172104"
+    "3588557757021647209248354794565210912081072994102118446501316162812467600804499500847917"
+    "3232678162593383522417156042563187191571689650564991674092281223861129195430799465526360"
+    "2361123060989695373633520004700806877093374369478328407203997880621183319314282844539786"
+    "17907556881227114971108935697386090942963908608"
+)
+
+
+def test_lifted_work_counts_potts_q10():
+    # Potts q=10 is invariant under every relabelling of the domain, so the
+    # lifted memo holds few entries; the values are the ones the unlifted
+    # recursion computed
+    from holant.models import ModelSpec, build_model
+
+    for graph, memo_bound, terms_bound, want in (
+        (prism_graph(), 100, 1_000, POTTS_Q10_PRISM),
+        (cube_graph(), 200, 2_000, POTTS_Q10_CUBE),
+    ):
+        inst = build_model(ModelSpec("potts", {"q": 10, "beta": Fraction(1, 5)}), graph)
+        decomp, _ = instance_decomposition(inst)
+        solver = FptSolver(inst, decomp)
+        assert solver.holant() == want
+        assert solver.stats.memo_entries <= memo_bound
+        assert solver.stats.terms <= terms_bound
 
 
 # ---------------------------------------------------------------------------

@@ -189,3 +189,16 @@ def test_parse_fuzz_raises_only_parse_errors(text):
         parse_instance_document(text)
     except InstanceParseError:
         pass
+    else:
+        heads = [line.split()[0] for line in text.splitlines() if line.split()]
+        assert all(heads.count(head) <= 1 for head in ("q", "vertices", "model"))
+
+
+@pytest.mark.parametrize("extra", [["q 2"], ["vertices 3"], ["model matchings", "model matchings"]])
+def test_parse_rejects_repeated_single_lines(extra):
+    # a second q, vertices or model line is an error at that line, not a silent replacement
+    lines = SAMPLE.splitlines()
+    text = "\n".join(lines[:5] + extra + lines[5:]) + "\n"
+    with pytest.raises(InstanceParseError, match="repeated") as exc:
+        parse_instance_document(text)
+    assert exc.value.line_no == 5 + len(extra)

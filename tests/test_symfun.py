@@ -17,7 +17,15 @@ from holant import (
     pin,
     regularity,
 )
-from holant.symfun import BooleanSymmetricFunction, SymmetricFunction, survivor_pairs, worst_pair_count
+from holant.symfun import (
+    BooleanSymmetricFunction,
+    SymmetricFunction,
+    relabel,
+    survivor_pairs,
+    value_blocks,
+    value_profiles,
+    worst_pair_count,
+)
 
 
 def bw(fn):
@@ -362,3 +370,46 @@ def test_survivor_pairs_and_worst_pair_count_match_the_definition():
         for kappa in compositions(q, rng.randint(0, d)):
             assert pin(f, kappa) is pin(f, kappa)
 
+
+
+# ---------------------------------------------------------------------------
+# domain symmetry
+
+def test_value_blocks_match_the_transposition_definition():
+    rng = random.Random(12)
+    for _ in range(200):
+        q, d = rng.choice((2, 3, 4)), rng.randint(0, 4)
+        f = random_regular_function(rng, q, d)
+        blocks = value_blocks(f)
+        for a in range(q):
+            for b in range(q):
+                swap = tuple(b if x == a else a if x == b else x for x in range(q))
+                assert (blocks[a] == blocks[b]) == (relabel(f, swap) is f)
+            assert blocks[a] == min(x for x in range(q) if blocks[x] == blocks[a])
+
+
+def test_relabel_moves_values_and_carries_profiles():
+    rng = random.Random(13)
+    for _ in range(200):
+        q, d = rng.choice((2, 3, 4)), rng.randint(0, 4)
+        f = random_regular_function(rng, q, d)
+        sigma = tuple(rng.sample(range(q), q))
+        inverse = tuple(sorted(range(q), key=lambda a: sigma[a]))
+        g = relabel(f, sigma)
+        assert relabel(g, inverse) is f
+        for tup in itertools.product(range(q), repeat=d):
+            assert g.value_of_tuple([sigma[x] for x in tup]) == f.value_of_tuple(tup)
+        k = rng.randint(0, d)
+        for phi in peer_partition(f, k).classes:
+            image = relabel(phi, sigma)
+            assert image.members == {tuple(m[inverse[b]] for b in range(q)) for m in phi.members}
+            assert relabel(image, inverse) is phi
+            assert all(value_profiles(image)[sigma[a]] == value_profiles(phi)[a] for a in range(q))
+        assert all(value_profiles(g)[sigma[a]] == value_profiles(f)[a] for a in range(q))
+
+
+def test_potts_edge_function_has_one_block():
+    potts = builtin("explicit_table", 4, 2, values=[2 if max(c) == 2 else 1 for c in compositions(4, 2)])
+    assert value_blocks(potts) == (0, 0, 0, 0)
+    assert value_blocks(pin(potts, (0, 0, 1, 0))) == (0, 0, 2, 0)
+    assert value_blocks(builtin("equality", 3, 2, weights=[1, 2, 1])) == (0, 1, 0)
