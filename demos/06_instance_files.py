@@ -14,6 +14,7 @@ from holant import (
     serialize_instance,
     tractable_search,
 )
+from holant.graphcore import incidence_base
 from holant.models import ModelSpec, build_model
 
 
@@ -29,8 +30,8 @@ def main():
     again = parse_instance(text)
     print()
     print(f"round-trip value preserved: {brute_force_hol(again) == brute_force_hol(inst)}")
-    print(f"model provenance survives: kind={again.model.kind},"
-          f" base graph edges={again.model.base_graph.edges}")
+    print(f"model provenance survives: kind={again.model.kind}")
+    print(f"spin-world graph read from the incidence layout: edges={incidence_base(again.graph).edges}")
     print(f"model completion still works: {tractable_search(again, {2: 1}) is not None}")
 
     print()

@@ -25,7 +25,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .exact import FptSolver, auto_hol, instance_decomposition
-from .graphcore import HolantInstance, edge_ball, restrict_instance
+from .graphcore import HolantInstance, edge_ball, incidence_base, restrict_instance
 from .values import GaussianRational
 
 
@@ -75,12 +75,13 @@ def _values_real_nonnegative(instance) -> bool:
 def tractable_search(instance: HolantInstance, partial: Mapping[int, int]) -> Optional[dict]:
     """Extend a partial edge configuration to a full feasible one, or return None.
 
-    The instance's model provenance picks the completion: matchings, the
+    The instance's model kind picks the completion: matchings, the
     paired-incidence models (weighted matchings, subgraphs world, Ising) and
-    the spin-incidence models (Potts, colorings) have direct ones.  Anything
-    else, perfect matchings included, gets the lexicographically smallest
-    feasible extension by extension testing with the exact solvers
-    (polynomial only in the sub-exponential sense, fine at desk scale).
+    the spin-incidence models (Potts, colorings) have direct ones, which read
+    the layout from the graph (``incidence_base``).  Anything else, perfect
+    matchings and restricted sub-instances included, gets the
+    lexicographically smallest feasible extension by extension testing with
+    the exact solvers (polynomial only in the sub-exponential sense).
     """
     g = instance.graph
     for e, val in partial.items():
@@ -118,9 +119,7 @@ def _complete_paired_incidence(instance, partial, kind):
     The two incidence edges of each original edge must agree; matchings-like
     vertex sides additionally allow at most one selected edge per vertex.
     """
-    base = getattr(instance.model, "base_graph", None)
-    if base is None:
-        raise InvalidArgumentError(f"the {kind} search needs incidence-model provenance")
+    base = incidence_base(instance.graph)
     n = base.n
     g = instance.graph
     out = dict(partial)
@@ -144,9 +143,7 @@ def _complete_paired_incidence(instance, partial, kind):
 
 def _complete_spin_incidence(instance, partial, kind):
     """Spin models on the incidence graph: all half-edges at a vertex share its spin."""
-    base = getattr(instance.model, "base_graph", None)
-    if base is None:
-        raise InvalidArgumentError(f"the {kind} search needs incidence-model provenance")
+    base = incidence_base(instance.graph)
     n = base.n
     g = instance.graph
     spin = {}

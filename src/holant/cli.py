@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"error: instance too large ({type(exc).__name__})", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except (HolantError, OSError) as exc:
+    except (HolantError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -169,6 +169,25 @@ def paired_incidence(
     return HolantInstance(Graph(n + graph.m, inc_edges), q, list(vertex_fns) + list(edge_fns))
 
 
+def incidence_base(graph: Graph) -> Graph:
+    """The graph that ``paired_incidence`` turns into ``graph``.
+
+    Each of the last m/2 vertices must have two neighbours below them; edge
+    vertex n_base + j gives base edge j.  Neighbours are read, not half-edge
+    ids, so any edge order works.
+    """
+    n_base = graph.n - graph.m // 2
+    if graph.m % 2 or n_base < 0:
+        raise InvalidArgumentError(f"{graph!r} is not an incidence graph")
+    base_edges = []
+    for ev in range(n_base, graph.n):
+        nbrs = sorted(graph.neighbors(ev))
+        if len(nbrs) != 2 or nbrs[1] >= n_base:
+            raise InvalidArgumentError(f"vertex {ev} is not an edge vertex of an incidence graph")
+        base_edges.append((nbrs[0], nbrs[1]))
+    return Graph(n_base, base_edges)
+
+
 def incidence_transform(
     q: int,
     graph: Graph,
@@ -253,11 +272,12 @@ class SubInstance:
 
     def as_instance(self) -> HolantInstance:
         """A standalone relabeled instance: its vertex i is ``vertices[i]`` and its
-        edge i is ``kept_edges[i]``."""
+        edge i is ``kept_edges[i]``.  It carries no model: a restriction is not
+        an instance of its parent's model."""
         vmap = {v: i for i, v in enumerate(self.vertices)}
         edges = [(vmap[u], vmap[v]) for u, v in map(self.parent.graph.endpoints, self.kept_edges)]
         funcs = [self.functions[v] for v in self.vertices]
-        return HolantInstance(Graph(len(self.vertices), edges), self.parent.q, funcs, model=self.parent.model)
+        return HolantInstance(Graph(len(self.vertices), edges), self.parent.q, funcs)
 
 
 def restrict_instance(

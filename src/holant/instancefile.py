@@ -10,7 +10,9 @@
 
 Table values are listed in lexicographic composition order and written as
 ``a/b`` rationals (or ``a/b+c/di`` Gaussian rationals, no spaces inside a
-token).  Parsing and serialization round-trip, preserving builtin forms.
+token).  A model parameter is a rational, or a list of rationals written
+with commas (``edge_weights=1,2``; a list of fewer than two items ends in a
+comma).  Parsing and serialization round-trip, preserving builtin forms.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ def _parse_builtin_tokens(q, d, tokens, line_no):
 
 
 def parse_instance_document(text: str) -> InstanceDocument:
-    q = None
-    n = None
+    q = q_line = None
+    n = n_line = None
     edges = []
     function_lines = []  # (line_no, vertex, tokens)
     model_tokens = None
@@ -102,12 +104,12 @@ def parse_instance_document(text: str) -> InstanceDocument:
             saw_header = True
         elif head == "q":
             try:
-                q = int(tokens[1])
+                q, q_line = int(tokens[1]), line_no
             except (IndexError, ValueError):
                 raise InstanceParseError(line_no, "q needs one integer")
         elif head == "vertices":
             try:
-                n = int(tokens[1])
+                n, n_line = int(tokens[1]), line_no
             except (IndexError, ValueError):
                 raise InstanceParseError(line_no, "vertices needs one integer")
         elif head == "edge":
@@ -135,13 +137,20 @@ def parse_instance_document(text: str) -> InstanceDocument:
     if not saw_header:
         raise InstanceParseError(1, "missing 'holant 1' header")
     if q is None or q < 2:
-        raise InstanceParseError(1, "missing or invalid q")
+        raise InstanceParseError(q_line or 1, "missing or invalid q")
     if n is None:
         raise InstanceParseError(1, "missing vertex count")
+    edge_line = n_line  # Graph checks the count, then each edge as it is drawn
+
+    def numbered_edges():
+        nonlocal edge_line
+        for edge_line, u, v in edges:
+            yield u, v
+
     try:
-        graph = Graph(n, [(u, v) for _, u, v in edges])
+        graph = Graph(n, numbered_edges())
     except InvalidArgumentError as exc:
-        raise InstanceParseError(edges[0][0] if edges else 1, str(exc)) from exc
+        raise InstanceParseError(edge_line, str(exc)) from exc
 
     functions: list = [None] * n
     sources: list = [None] * n
@@ -174,52 +183,29 @@ def parse_instance_document(text: str) -> InstanceDocument:
     if missing:
         raise InstanceParseError(1, f"no function given for vertex {missing[0]}")
 
-    model_spec = _parse_model(model_tokens, graph, model_line) if model_tokens else None
+    model_spec = _parse_model(model_tokens, model_line) if model_tokens else None
     return InstanceDocument(q, graph, functions, sources, model_spec)
 
 
-def _parse_model(tokens, graph, line_no) -> ModelSpec:
+def _parse_model(tokens, line_no) -> ModelSpec:
     kind = tokens[0]
     params = {}
-    base_n = None
     for tok in tokens[1:]:
         if "=" not in tok:
             raise InstanceParseError(line_no, f"model parameter {tok!r} must be key=value")
         key, val = tok.split("=", 1)
         try:
-            if key == "base_vertices":
-                base_n = int(val)
+            if "," in val:
+                items = val.removesuffix(",")
+                params[key] = [Fraction(t) for t in items.split(",")] if items else []
             else:
                 params[key] = Fraction(val)
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceParseError(line_no, f"bad model parameter {tok!r}: {exc}") from exc
     try:
-        spec = ModelSpec(kind, params)
+        return ModelSpec(kind, params)
     except InvalidArgumentError as exc:
         raise InstanceParseError(line_no, str(exc)) from exc
-    if base_n is not None:
-        spec.base_graph = _reconstruct_base_graph(graph, base_n, line_no)
-    return spec
-
-
-def _reconstruct_base_graph(graph, base_n, line_no) -> Graph:
-    """Recover the spin-world graph from an incidence instance (edge vertices last).
-
-    Every edge must join an original vertex to an edge vertex, two per edge
-    vertex; the incidence completions rely on it.
-    """
-    if not 0 <= base_n <= graph.n or graph.m != 2 * (graph.n - base_n):
-        raise InstanceParseError(
-            line_no, f"base_vertices={base_n} does not match an incidence graph "
-               f"with {graph.n} vertices and {graph.m} edges"
-        )
-    base_edges = []
-    for ev in range(base_n, graph.n):
-        nbrs = sorted(graph.neighbors(ev))
-        if len(nbrs) != 2 or any(u >= base_n for u in nbrs):
-            raise InstanceParseError(line_no, f"vertex {ev} is not a valid incidence edge vertex")
-        base_edges.append((nbrs[0], nbrs[1]))
-    return Graph(base_n, base_edges)
 
 
 def parse_instance(text: str) -> HolantInstance:
@@ -246,9 +232,9 @@ def serialize_instance(obj) -> str:
     if doc.model_spec is not None:
         parts = [doc.model_spec.kind]
         for key, val in sorted(doc.model_spec.params.items()):
+            if isinstance(val, list):
+                val = ",".join(map(str, val)) + "," * (len(val) < 2)
             parts.append(f"{key}={val}")
-        if doc.model_spec.base_graph is not None:
-            parts.append(f"base_vertices={doc.model_spec.base_graph.n}")
         lines.append("model " + " ".join(parts))
     for v in range(doc.graph.n):
         src = doc.function_sources[v]

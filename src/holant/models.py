@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import mpmath
 
@@ -39,7 +38,6 @@ class ModelSpec:
 
     kind: str
     params: dict = field(default_factory=dict)
-    base_graph: Optional[Graph] = None  # the spin-world graph for incidence models
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -92,8 +90,8 @@ def _required(params, key, kind):
 def build_model(spec: ModelSpec, graph: Graph) -> HolantInstance:
     """Build the Holant instance for a model on a graph.
 
-    The instance carries its own copy of the spec as provenance (plus the
-    spin-world graph for incidence models), so a spec may be reused.
+    The instance carries a copy of the spec, kind and parameters only, as
+    provenance, so a spec may be reused.
     """
     kind = spec.kind
     p = spec.params
@@ -156,9 +154,7 @@ def build_model(spec: ModelSpec, graph: Graph) -> HolantInstance:
     else:  # unreachable: guarded by ModelSpec
         raise InvalidArgumentError(f"unknown model kind {kind!r}")
 
-    provenance = ModelSpec(kind, dict(p))
-    provenance.base_graph = graph if inst.graph is not graph else None
-    inst.model = provenance
+    inst.model = ModelSpec(kind, dict(p))
     return inst
 
 

@@ -21,10 +21,12 @@ from holant import (
     marginal_distribution,
     parse_instance,
     path_graph,
+    restrict_instance,
     tractable_search,
 )
 from holant import approx
 from holant.approx import _complete_generic
+from holant.graphcore import incidence_base
 from holant.models import ModelSpec, build_model
 from holant.oracle import gibbs_oracle
 
@@ -40,7 +42,7 @@ def test_search_potts_always_extends():
     # every spin assignment is feasible for Potts, so every partial that is a
     # restriction of one extends; half-edge conflicts at a vertex do not
     inst = build_model(ModelSpec("potts", {"q": 3, "lambda": 2}), cycle_graph(4))
-    base = inst.model.base_graph
+    base = incidence_base(inst.graph)
     rng = random.Random(0)
     for _ in range(10):
         spins = [rng.randrange(3) for _ in range(base.n)]
@@ -97,7 +99,7 @@ def test_search_colorings_greedy():
     out = tractable_search(inst, {})
     assert out is not None
     # decode spins from half-edges and check properness
-    base = inst.model.base_graph
+    base = incidence_base(inst.graph)
     for u, v in base.edges:
         eu = inst.graph.incident[u]
         ev = inst.graph.incident[v]
@@ -126,6 +128,23 @@ def test_search_model_completions_are_the_smallest_feasible_extension():
                 edges = rng.sample(range(inst.graph.m), rng.randint(0, min(3, inst.graph.m)))
                 partial = {e: rng.randrange(inst.q) for e in edges}
                 assert tractable_search(inst, partial) == _complete_generic(inst, partial), (spec.kind, partial)
+
+
+@pytest.mark.parametrize("spec, graph, value", [
+    (ModelSpec("potts", {"q": 3, "lambda": 2}), cycle_graph(4), 22),
+    (ModelSpec("weighted_matchings", {"edge_weights": [1, 2, 3]}), path_graph(4), 4),
+], ids=["potts", "weighted_matchings"])
+def test_restricted_model_instances_get_the_generic_search(spec, graph, value):
+    # a restriction is not an instance of its parent's model: it follows
+    # neither the parent's incidence layout nor its edge numbering
+    inst = build_model(spec, graph)
+    sub = restrict_instance(inst, {0: 1, 1: 1}, range(2, inst.graph.m)).as_instance()
+    assert sub.model is None
+    fill = tractable_search(sub, {})
+    assert sub.weight([fill[e] for e in range(sub.graph.m)])
+    assert brute_force_hol(sub).as_fraction() == value
+    assert fptas_hol(sub, Fraction(1, 10), RadiusPolicy.whole_graph()).value.as_fraction() == value
+    assert fptas_hol(sub, Fraction(1, 10)).value.as_fraction() == value
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +376,44 @@ def test_fptas_equality_path_whole_graph_is_exact():
     assert dist[2] == Fraction(21, 52) and report.radii == (1, 2, 4) and report.stabilized
 
 
-@pytest.mark.xfail(strict=True, reason="stabilization is tested against one boundary fill only; "
-                                       "the fill passes along an equality path without decay")
-def test_fptas_certified_result_is_within_eps_on_equality_path():
-    inst = parse_instance(EQUALITY_PATH_TEXT)
-    result = fptas_hol(inst, Fraction(1, 10))
-    assert not result.certified or abs(result.value.as_fraction() / Fraction(341, 4) - 1) <= Fraction(1, 10)
+# A random instance of the cli-batch bench (seed 111, repetition 5, instance
+# 29): edge 0 is estimated at [1, 0] with zero gaps at r = 1, 2 and 4 (true
+# marginal [8/9, 1/9]), so the certified value is 4 where the Holant is 9/2.
+CLI_BATCH_WITNESS_TEXT = """holant 1
+q 2
+vertices 7
+edge 2 6
+edge 0 1
+edge 0 4
+edge 1 6
+edge 1 2
+edge 3 5
+edge 3 4
+function 0 table 0 1 0
+function 1 table 0 0 1 0
+function 2 table 0 1 1
+function 3 table 0 1 0
+function 4 table 4 0 1/2
+function 5 table 1 1
+function 6 table 0 1 0
+"""
+
+
+def test_fptas_cli_batch_witness_whole_graph_is_exact():
+    inst = parse_instance(CLI_BATCH_WITNESS_TEXT)
+    assert brute_force_hol(inst).as_fraction() == Fraction(9, 2)
+    assert fptas_hol(inst, Fraction(1, 10), RadiusPolicy.whole_graph()).value.as_fraction() == Fraction(9, 2)
+    assert gibbs_oracle(inst).marginal(0) == [Fraction(8, 9), Fraction(1, 9)]
+    dist, report = marginal_distribution(inst, 0, {}, RadiusPolicy.adaptive(Fraction(1, 8 * 2 * 7 * 10)))
+    assert dist == [1, 0] and report.radii == (1, 2, 4) and report.stabilized
+
+
+@pytest.mark.xfail(strict=True, reason="stabilization is tested against one boundary fill only; the fill "
+                                       "passes along a path of binary (dis)equalities without decay")
+@pytest.mark.parametrize("text, exact", [
+    (EQUALITY_PATH_TEXT, Fraction(341, 4)),
+    (CLI_BATCH_WITNESS_TEXT, Fraction(9, 2)),
+], ids=["equality_path", "cli_batch_witness"])
+def test_fptas_certified_result_is_within_eps_on_equality_path(text, exact):
+    result = fptas_hol(parse_instance(text), Fraction(1, 10))
+    assert not result.certified or abs(result.value.as_fraction() / exact - 1) <= Fraction(1, 10)

@@ -9,7 +9,7 @@ import pytest
 import holant
 from holant.cli import EXIT_EXHAUSTED, EXIT_INVALID, EXIT_OK, main, parse_graph_spec
 from holant.exact import instance_decomposition
-from holant.instancefile import parse_instance_document
+from holant.instancefile import parse_instance_document, serialize_instance
 
 
 def run_cli(argv, stdin_text=None):
@@ -121,14 +121,35 @@ def test_builtin_without_kind_exits_2(capsys):
     assert "error: line 4: builtin needs a kind" in capsys.readouterr().err
 
 
-def test_base_vertices_must_match_the_incidence_graph(capsys):
-    # every edge of an incidence instance joins an original vertex to an edge
-    # vertex; a base vertex count that breaks this is a parse error
-    text = model_text(["subgraphs_world", "--graph", "path:3", "--lambda", "1/2", "--mu", "1/3"])
-    assert "base_vertices=3" in text
-    code, _ = run_cli(["approx", "--eps", "1/10"], stdin_text=text.replace("base_vertices=3", "base_vertices=5"))
+def test_incidence_model_line_on_a_graph_without_the_layout(capsys):
+    # the incidence layout is read from the graph when a completion needs it,
+    # so only approx rejects a graph that does not follow it
+    text = model_text(["matchings", "--graph", "cycle:4"])
+    text = text.replace("model matchings", "model subgraphs_world lambda=1/2 mu=1/3")
+    for argv in (["exact"], ["decompose"]):
+        assert run_cli(argv, stdin_text=text)[0] == EXIT_OK
+    code, _ = run_cli(["approx", "--eps", "1/10"], stdin_text=text)
     assert code == EXIT_INVALID
-    assert "error: line 8: base_vertices=5 does not match" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: vertex 2 is not an edge vertex of an incidence graph\n"
+
+
+def test_files_that_are_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "binary"
+    path.write_bytes(b"holant 1\n\xff\xfe\x00\n")
+    for argv in (["exact", str(path)], ["model", "matchings", "--graph", f"edgelist:{path}"]):
+        code, _ = run_cli(argv)
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
+def test_weighted_matchings_model_line_round_trips():
+    text = model_text(["weighted_matchings", "--graph", "path:3", "--weights", "1,2"])
+    assert "\nmodel weighted_matchings edge_weights=1,2\n" in text
+    code, out = run_cli(["exact"], stdin_text=text)
+    assert code == EXIT_OK and "value: 4\n" in out
+    assert run_cli(["approx", "--eps", "1/10"], stdin_text=text)[0] == EXIT_OK
+    assert serialize_instance(parse_instance_document(text)) == text
 
 
 def test_model_line_errors_carry_its_line_number(capsys):

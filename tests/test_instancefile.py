@@ -13,10 +13,13 @@ from holant import (
     parse_instance,
     parse_instance_document,
     path_graph,
+    prism_graph,
     serialize_instance,
     tractable_search,
 )
-from holant.models import ModelSpec, build_model
+from holant.exact import auto_hol
+from holant.graphcore import incidence_base
+from holant.models import MODEL_KINDS, ModelSpec, build_model
 
 SAMPLE = """\
 holant 1
@@ -79,12 +82,52 @@ def test_model_provenance_round_trip():
         cycle_graph(3),
     )
     text = serialize_instance(inst)
-    assert "model subgraphs_world" in text and "base_vertices=3" in text
+    assert "\nmodel subgraphs_world lambda=1/2 mu=1/3\n" in text
     again = parse_instance(text)
     assert again.model.kind == "subgraphs_world"
-    assert again.model.base_graph.edges == cycle_graph(3).edges
-    # the reconstructed provenance picks the model completion
+    assert incidence_base(again.graph).edges == cycle_graph(3).edges
+    # the provenance picks the model completion, which reads the layout from the graph
     assert tractable_search(again, {}) is not None
+    # older files carry base_vertices=<n>: an ordinary parameter that nothing reads
+    old = parse_instance(text.replace("mu=1/3", "mu=1/3 base_vertices=3"))
+    assert old.model.params["base_vertices"] == 3
+    assert tractable_search(old, {2: 1}) == tractable_search(again, {2: 1})
+
+
+def _model_params(kind, graph):
+    return {
+        "matchings": {},
+        "perfect_matchings": {},
+        "weighted_matchings": {"edge_weights": [Fraction(k + 1, 2) for k in range(graph.m)]},
+        "colorings": {"q": 4},
+        "potts": {"q": 3, "lambda": 2},
+        "subgraphs_world": {"lambda": Fraction(1, 2), "mu": Fraction(1, 3)},
+        "ising": {"beta": Fraction(1, 3), "B": Fraction(1, 4)},
+    }[kind]
+
+
+@pytest.mark.parametrize("graph", [path_graph(3), cycle_graph(4), prism_graph()], ids=["path3", "cycle4", "prism"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_every_model_kind_round_trips(kind, graph):
+    inst = build_model(ModelSpec(kind, _model_params(kind, graph)), graph)
+    text = serialize_instance(inst)
+    again = parse_instance(text)
+    assert serialize_instance(again) == text
+    assert (again.model.kind, again.model.params) == (inst.model.kind, inst.model.params)
+    assert auto_hol(again) == auto_hol(inst)
+    assert tractable_search(again, {}) == tractable_search(inst, {})
+    if again.graph.n != graph.n:  # an incidence model
+        assert incidence_base(again.graph).edges == graph.edges
+
+
+@pytest.mark.parametrize("weights", [[], [3]])
+def test_short_list_parameters_round_trip(weights):
+    # a list of fewer than two items ends in a comma, so it reads back as a list
+    graph = path_graph(len(weights) + 1)
+    text = serialize_instance(build_model(ModelSpec("weighted_matchings", {"edge_weights": weights}), graph))
+    again = parse_instance(text)
+    assert again.model.params == {"edge_weights": weights}
+    assert serialize_instance(again) == text
 
 
 def test_parse_errors_carry_line_numbers():
@@ -93,6 +136,19 @@ def test_parse_errors_carry_line_numbers():
         parse_instance(bad)
     assert info.value.line_no == 8
     assert "vertex 2" in str(info.value)
+
+
+@pytest.mark.parametrize("old, new, line_no", [
+    ("edge 1 2\n", "edge 1 2\nedge 2 7\n", 6),
+    ("edge 1 2\n", "edge 1 0\n", 5),
+    ("edge 1 2\n", "edge 2 2\n", 5),
+    ("q 2\nvertices 3\n", "vertices 3\nq 1\n", 3),
+    ("vertices 3\n", "vertices -1\n", 3),
+], ids=["edge_out_of_range", "parallel_edge", "self_loop", "q", "vertices"])
+def test_parse_errors_name_the_line_at_fault(old, new, line_no):
+    with pytest.raises(InstanceParseError) as exc:
+        parse_instance_document(SAMPLE.replace(old, new))
+    assert exc.value.line_no == line_no
 
 
 def test_parse_builtin_without_kind():

@@ -100,9 +100,9 @@ def test_model_spec_reusable_across_graphs():
     spec = ModelSpec("potts", {"q": 3, "lambda": 2})
     a = build_model(spec, cycle_graph(3))
     b = build_model(spec, path_graph(4))
-    assert a.model is not b.model
-    assert a.model.base_graph.n == 3 and b.model.base_graph.n == 4
-    assert spec.base_graph is None  # the caller's spec is untouched
+    assert a.model is not b.model and a.model is not spec
+    assert a.model.params is not spec.params
+    assert a.model == b.model == spec  # kind and parameters only
 
 
 def test_model_invariants_arity_and_domain():
