@@ -2,14 +2,18 @@
 
 A conditional edge marginal is estimated from the r-ball around the edge: the
 fringe just outside the ball is fixed to a feasible fill obtained from a
-tractable-search completion, the ball is restricted and pinned, and the ratio
-of exact sub-Holants gives the estimate.  Under the adaptive policy the radius
+tractable-search completion, the ball is restricted once, and one exact sweep
+over it (``exact.edge_numerators``) gives the q numerators, whose ratios are
+the estimate.  The sweep carries the edge's value in a vector of weights and
+merges states equal up to a domain relabelling that fixes every function of
+the ball.  Under the adaptive policy the radius
 doubles until consecutive distributions agree within the stabilization
 tolerance.  The FPTAS pins edges one at a time at the argmax estimated value
 and divides the chosen configuration's weight by the product of the recorded
 conditional probabilities.  It asks one completion question per step: the
 completion that shows the chosen value extends is the next step's fringe fill.
-The instance's model kind alone decides which completion search runs.
+The instance alone decides which completion search runs: its model kind, when
+its tables are that model's.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from .errors import (
     InfeasibleInstanceError,
     InvalidArgumentError,
 )
-from .exact import FptSolver, auto_hol, instance_decomposition
+from .exact import auto_hol, edge_numerators
 from .graphcore import HolantInstance, edge_ball, incidence_base, restrict_instance
+from .models import build_model
 from .values import GaussianRational
 
 
@@ -75,13 +80,15 @@ def _values_real_nonnegative(instance) -> bool:
 def tractable_search(instance: HolantInstance, partial: Mapping[int, int]) -> Optional[dict]:
     """Extend a partial edge configuration to a full feasible one, or return None.
 
-    The instance's model kind picks the completion: matchings, the
-    paired-incidence models (weighted matchings, subgraphs world, Ising) and
-    the spin-incidence models (Potts, colorings) have direct ones, which read
-    the layout from the graph (``incidence_base``).  Anything else, perfect
-    matchings and restricted sub-instances included, gets the
-    lexicographically smallest feasible extension by extension testing with
-    the exact solvers (polynomial only in the sub-exponential sense).
+    The instance's model kind picks the completion, but only when the
+    instance is that model (``_model_kind``): matchings, the paired-incidence
+    models (weighted matchings, subgraphs world, Ising) and the
+    spin-incidence models (Potts, colorings) have direct ones, which read the
+    layout from the graph (``incidence_base``).  Anything else, perfect
+    matchings, restricted sub-instances and instances whose tables do not
+    match their model line included, gets the lexicographically smallest
+    feasible extension by extension testing with the exact solvers
+    (polynomial only in the sub-exponential sense).
     """
     g = instance.graph
     for e, val in partial.items():
@@ -89,7 +96,7 @@ def tractable_search(instance: HolantInstance, partial: Mapping[int, int]) -> Op
             raise InvalidArgumentError(f"partial assigns out-of-range edge {e}")
         if not 0 <= val < instance.q:
             raise InvalidArgumentError(f"partial value {val} outside domain [{instance.q}]")
-    kind = getattr(instance.model, "kind", None)
+    kind = _model_kind(instance)
     if kind == "matchings":
         return _complete_matchings(instance, partial)
     if kind in ("weighted_matchings", "subgraphs_world", "ising"):
@@ -97,6 +104,29 @@ def tractable_search(instance: HolantInstance, partial: Mapping[int, int]) -> Op
     if kind in ("potts", "colorings"):
         return _complete_spin_incidence(instance, partial, kind)
     return _complete_generic(instance, partial)
+
+
+def _model_kind(instance) -> Optional[str]:
+    """The kind of the instance's model when the instance is that model: its
+    tables are the ones ``build_model`` gives for the kind and parameters, on
+    the instance's graph or, for incidence kinds, on ``incidence_base`` of it.
+    None otherwise, and for perfect matchings, which has no direct completion.
+    The answer is cached on the instance for its current model object."""
+    spec = instance.model
+    cached = instance._model_check
+    if cached is not None and cached[0] is spec:
+        return cached[1]
+    kind = None
+    if spec is not None and spec.kind != "perfect_matchings":
+        try:
+            graph = instance.graph if spec.kind == "matchings" else incidence_base(instance.graph)
+            built = build_model(spec, graph)
+        except (InvalidArgumentError, TypeError):  # TypeError: a list where a number belongs
+            built = None
+        if built is not None and built.q == instance.q and built.functions == instance.functions:
+            kind = spec.kind
+    instance._model_check = (spec, kind)
+    return kind
 
 
 def _complete_matchings(instance, partial):
@@ -223,33 +253,24 @@ class MarginalReport:
 
 
 def _ball_distribution(instance, e, cond, completion, r):
-    """Exact conditional distribution of edge e on the radius-r restriction."""
-    g = instance.graph
-    q = instance.q
-    ball, fringe = edge_ball(g, e, r)
+    """Exact conditional distribution of edge e on the radius-r restriction.
+
+    The ball keeps e: one restriction fixes the fringe and the conditioned
+    edges, and one sweep returns the numerators for every value of e at once,
+    with e's value in the weights, not in the states, and the states lifted
+    over the ball's domain symmetry.
+    """
+    ball, fringe = edge_ball(instance.graph, e, r)
     fix = {}
     for b in fringe:
         fix[b] = cond[b] if b in cond else completion[b]
     for c_edge, val in cond.items():
         if c_edge in ball:
             fix[c_edge] = val
-    keep = sorted(ball - set(fix) - {e})
-    subs = []
-    for i in range(q):
-        fix_i = dict(fix)
-        fix_i[e] = i
-        subs.append(restrict_instance(instance, fix_i, keep))
-    base_inst = subs[0].as_instance()
-    solver = FptSolver(base_inst, instance_decomposition(base_inst)[0])
-    vmap = {v: i for i, v in enumerate(subs[0].vertices)}
-    numerators = []
-    for sub in subs:
-        overrides = {}
-        for v in sub.vertices:
-            if sub.functions[v] is not subs[0].functions[v]:
-                overrides[vmap[v]] = sub.functions[v]
-        z = solver.holant(overrides)
-        numerators.append((sub.scalar * z).as_fraction())
+    keep = sorted(ball - set(fix))
+    sub = restrict_instance(instance, fix, keep)
+    z = edge_numerators(sub.as_instance(), keep.index(e))
+    numerators = [(sub.scalar * zi).as_fraction() for zi in z]
     total = sum(numerators)
     if total == 0:
         raise InfeasibleBoundaryError(

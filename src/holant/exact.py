@@ -1,12 +1,20 @@
-"""Exact Holant evaluation: brute force, vertex-elimination DP, and the FPT solver.
+"""Exact Holant evaluation: brute force, the sweep, and the FPT solver.
+
+Brute force walks the edge configurations depth first and cuts a branch at
+the first zero factor; it shares no code with the solvers.  The sweep is one
+forward vertex-elimination loop whose layers map states to weights: one value
+each, or a vector of k values.  The simple DP and the Z0 sub-DPs run it with
+one value per state.  ``edge_numerators``,
+the exact engine of the FPTAS balls, runs it once per ball with q weights: the
+value of the ball's edge lives in the weight vector, so one pass gives all q
+numerators, and its states are lifted over the domain symmetry of the ball.
 
 The FPT solver follows the three-way recursion over a separator decomposition:
 at a node with children U1, U2 and separator S, the value Z(U, {phi_v}) is a sum
 over joint choices of peer images (one per core vertex per side) of
 Z0 * Z1 * Z2 * prod_v gtilde_v, where Z1/Z2 recurse into the children with the
 chosen peer images as boundary constraints and Z0 is a small Holant on the core
-solved by the simple DP: an iterative forward sweep over vertex eliminations
-that keeps one layer of distinct states and drops the dead ones.
+solved by the sweep.
 
 The solver enumerates the terms in folded form: it absorbs the core-side peer
 images into Z0 by pinning each core function with the chosen child-side
@@ -18,7 +26,7 @@ independent cross-check.
 The memo is lifted over the domain's symmetry.  A permutation sigma of [q]
 acts on a function by moving each value a to sigma(a), and relabelling every
 function of a Holant by one sigma leaves its value unchanged: Z(F) =
-Z(sigma·F).  When sigma fixes every function of a call, it follows that
+Z(sigma·F).  When sigma fixes every function of the instance, it follows that
 Z(U, {phi_v}) = Z(U, {sigma·phi_v}), so the solver keys each sub-Holant by one
 image of its boundary constraints under such sigmas, and all symmetric copies
 share that entry.  Potts models and colorings are invariant under every
@@ -33,11 +41,10 @@ from itertools import product
 from typing import Mapping, Optional
 
 from .errors import InvalidArgumentError, ResourceExhaustedError
-from .graphcore import HolantInstance, vertex_boundary
+from .graphcore import HolantInstance, frontier_order, vertex_boundary
 from .sepdecomp import SeparatorDecomposition, find_min_width, validate
 from .symfun import (
     BooleanSymmetricFunction,
-    SymmetricFunction,
     composition_index,
     composition_of,
     compositions,
@@ -68,7 +75,13 @@ def enumeration_cap_bits() -> int:
 # brute force
 
 def brute_force_hol(instance: HolantInstance, cap_bits: Optional[int] = None) -> GaussianRational:
-    """Sum over all q^m edge configurations of the product of vertex evaluations."""
+    """Sum over all q^m edge configurations of the product of vertex evaluations.
+
+    The configurations are walked depth first in lexicographic order, one edge
+    per level.  Each vertex is evaluated once its last incident edge has a
+    value, and a branch whose partial product is zero is cut, since all of
+    its configurations have weight zero.
+    """
     q, g = instance.q, instance.graph
     m = g.m
     cap = enumeration_cap_bits() if cap_bits is None else cap_bits
@@ -78,38 +91,79 @@ def brute_force_hol(instance: HolantInstance, cap_bits: Optional[int] = None) ->
             last_attempt=cap,
         )
     funcs = instance.functions
-    incident = g.incident
+    closed_by = [[] for _ in range(m)]  # edge -> the vertices it is the last edge of
+    prefix = [ONE] * (m + 1)  # prefix[k]: the product of the edgeless vertices and those closed by edges < k
+    for v in range(g.n):
+        if g.incident[v]:
+            closed_by[max(g.incident[v])].append(v)
+        else:
+            prefix[0] = prefix[0] * funcs[v].value_at((0,) * q)
+    if not prefix[0]:
+        return ZERO
+    counts = [[0] * q for _ in range(g.n)]
+    config = [-1] * m
     total = ZERO
-    for config in product(range(q), repeat=m):
-        term = ONE
-        for v in range(g.n):
-            counts = [0] * q
-            for e in incident[v]:
-                counts[config[e]] += 1
-            val = funcs[v].value_at(tuple(counts))
-            if not val:
-                term = ZERO
+    k = 0  # the edge whose value is chosen next
+    while k >= 0:
+        if k == m:
+            total = total + prefix[m]
+            k -= 1
+            continue
+        u, w = g.edges[k]
+        a = config[k]
+        if a >= 0:
+            counts[u][a] -= 1
+            counts[w][a] -= 1
+        a += 1
+        if a == q:
+            config[k] = -1
+            k -= 1
+            continue
+        config[k] = a
+        counts[u][a] += 1
+        counts[w][a] += 1
+        term = prefix[k]
+        for v in closed_by[k]:
+            term = term * funcs[v].value_at(tuple(counts[v]))
+            if not term:
                 break
-            term = term * val
+        prefix[k + 1] = term
         if term:
-            total = total + term
+            k += 1
     return total
 
 
 # ---------------------------------------------------------------------------
-# simple vertex-elimination dynamic program
+# the sweep: the simple DP and the FPTAS ball numerators
 
-def _simple_dp(q, funcs, incident, endpoints) -> GaussianRational:
+def _sweep(q, layer, incident, endpoints, lift=None):
     """Eliminate vertices in descending index order, pinning lower neighbors.
 
-    ``funcs[v]`` must have arity equal to v's degree in the given edge lists.
-    The forward sweep keeps one layer: a dict from each state, the tuple of
-    current (pinned, interned) functions at the vertices not yet eliminated,
-    to the summed weight of the partial assignments that reach it; regularity
-    keeps layers small.  A successor is dead, and dropped at once, when a newly
-    pinned function is identically zero.  No recursion depth grows with n.
+    A state is a tuple of current (pinned, interned) functions, one per vertex
+    not yet eliminated; the function at vertex v must have arity v's degree in
+    the given edge lists less the edges already pinned into it.  ``layer``
+    maps each start state to its weight: one value, or a tuple of k values
+    that are scaled and added componentwise.  The forward sweep keeps one
+    layer: a dict from each state to the sum of the weights of the partial
+    assignments that reach it; regularity keeps layers small.  A successor is
+    dead, and dropped at once, when a newly pinned function is identically
+    zero.  Returns the weight of the empty state, or None when no state
+    survives.  No recursion depth grows with n.
+
+    With ``lift = (blocks, originals)``, where every relabelling within
+    ``blocks`` fixes each of ``originals``, the functions the start states are
+    pinned from, each successor is replaced by its image under the relabelling
+    that sorts the values of each block by their profiles in the pinned
+    entries.  A state holds every remaining function and Z(F) = Z(sigma·F),
+    so the image has the remaining sum of the state, and symmetric states
+    merge.  Entries still equal to their original are fixed by every such
+    relabelling, so only the pinned ones are profiled and relabelled.  The
+    weights are never relabelled.
     """
-    n = len(funcs)
+    if not layer:
+        return None
+    n = len(next(iter(layer)))
+    vector = type(next(iter(layer.values()))) is tuple
     lower = [[] for _ in range(n)]
     for v in range(n):
         for e in incident[v]:
@@ -118,7 +172,7 @@ def _simple_dp(q, funcs, incident, endpoints) -> GaussianRational:
             if other < v:
                 lower[v].append(other)
     units = compositions(q, 1)[::-1]  # units[a]: one argument set to a
-    layer = {tuple(funcs): ONE}
+    images = {}  # successor -> its lifted image, for this call
     for v in range(n - 1, -1, -1):
         neighbors = lower[v]
         d = len(neighbors)
@@ -150,18 +204,82 @@ def _simple_dp(q, funcs, incident, endpoints) -> GaussianRational:
                         break
                     succ[other] = g
                 else:
-                    w = weight if factor is None else factor * weight
+                    w = weight
+                    if factor is not None:
+                        w = tuple([x if x is ZERO else factor * x for x in w]) if vector else factor * w
                     succ = tuple(succ)
+                    if lift is not None:
+                        image = images.get(succ)
+                        if image is None:
+                            image = images[succ] = _lifted_state(succ, *lift)
+                        succ = image
                     got = nxt.get(succ)
-                    nxt[succ] = w if got is None else got + w
+                    nxt[succ] = w if got is None else _vector_sum(got, w) if vector else got + w
         layer = nxt
-    return layer.get((), ZERO)
+    return layer.get(())
+
+
+def _vector_sum(a, b):
+    """Componentwise a + b; the ZERO entries of unit vectors are skipped."""
+    return tuple([y if x is ZERO else x if y is ZERO else x + y for x, y in zip(a, b)])
+
+
+def _lifted_state(state, blocks, originals):
+    """The image of ``state`` under the relabelling within ``blocks`` that
+    sorts each block's values by their profiles in the pinned entries."""
+    sigma = _sorting_sigma(blocks, [f for f, f0 in zip(state, originals) if f is not f0])
+    if sigma is None:
+        return state
+    return tuple(f if f is f0 else relabel(f, sigma) for f, f0 in zip(state, originals))
 
 
 def simple_dp_hol(instance: HolantInstance) -> GaussianRational:
     """Exact Holant by vertex elimination; equals brute_force_hol on every instance."""
     g = instance.graph
-    return _simple_dp(instance.q, list(instance.functions), g.incident, g.edges)
+    return _sweep(instance.q, {instance.functions: ONE}, g.incident, g.edges) or ZERO
+
+
+def edge_numerators(instance: HolantInstance, e: int) -> list[GaussianRational]:
+    """The Holant of ``instance`` with edge e pinned to each value i, from one sweep.
+
+    The sweep runs on the graph without e, in ``frontier_order``.  It starts
+    from q states: state i has the functions at e's two endpoints pinned to
+    value i, and the unit vector at i as its weights.  The value of e thus
+    lives in the weights, not in the state, so states reached under different
+    values of e merge, and the final weights are the q numerators.  States are
+    lifted over the relabellings of the domain that fix every function of the
+    instance, start states included, so the start states of the values in one
+    block meet at once.
+    """
+    g = instance.graph
+    q = instance.q
+    if not 0 <= e < g.m:
+        raise InvalidArgumentError(f"edge {e} out of range")
+    order = frontier_order(g)
+    label = {v: g.n - 1 - k for k, v in enumerate(order)}  # the sweep eliminates high labels first
+    originals = tuple(instance.functions[v] for v in reversed(order))
+    edges = [(label[u], label[w]) for x, (u, w) in enumerate(g.edges) if x != e]
+    incident = [[] for _ in range(g.n)]
+    for x, (u, w) in enumerate(edges):
+        incident[u].append(x)
+        incident[w].append(x)
+    ends = [label[v] for v in g.endpoints(e)]
+    blocks = _refine((0,) * q, dict.fromkeys(originals))
+    lift = None if blocks is None else (blocks, originals)
+    units = compositions(q, 1)[::-1]
+    layer = {}
+    for i in range(q):
+        state = list(originals)
+        for v in ends:
+            state[v] = pin(state[v], units[i])
+        if any(state[v].is_zero_function() for v in ends):
+            continue
+        state = tuple(state) if lift is None else _lifted_state(tuple(state), *lift)
+        unit = tuple(ONE if j == i else ZERO for j in range(q))
+        got = layer.get(state)
+        layer[state] = unit if got is None else _vector_sum(got, unit)
+    z = _sweep(q, layer, incident, edges, lift)
+    return [ZERO] * q if z is None else list(z)
 
 
 def instance_vertex_costs(instance: HolantInstance) -> list[int]:
@@ -297,26 +415,19 @@ class FptSolver:
     """Memoized evaluator of the separator-decomposition recursion.
 
     One solver instance validates and precomputes the per-node structure for a
-    fixed graph and decomposition; ``holant`` may then be called repeatedly,
-    optionally with a few vertex functions overridden (pinned variants),
-    sharing the memo tables across calls.  Overrides are call-local: memo keys
-    carry the uids of the overrides inside each node's region, and ``holant``
-    keeps no per-call state on the solver, so calls may run concurrently.  The
-    ``stats`` counters are not synchronised across threads.
+    fixed instance and decomposition; ``holant`` may then be called repeatedly,
+    sharing the memo tables across calls.  ``holant`` keeps no per-call state on
+    the solver, so calls may run concurrently.  The ``stats`` counters are not
+    synchronised across threads.
 
     Memo keys are lifted.  The solver's group is generated by the transpositions
     of domain values that fix every function of the instance; it is stored as
     blocks of interchangeable values, or None when it is trivial, in which case
-    no key is relabelled.  A call first relabels its overrides by a sigma in that
-    group, which fixes every function it does not override, so the value is
-    unchanged; calls that pin different but interchangeable values thus share
-    their memo entries.  The blocks, refined by the relabelled overrides, then
-    form the call's group, which fixes every function of the call.  ``_z``
-    relabels each boundary-constraint tuple phi within those blocks, which
-    keeps Z(node, phi).  Every sigma is chosen by sorting the values of a block
-    by a profile that relabelling carries along, so symmetric copies tend to
-    meet in one key; any choice would be correct, and the memo stores the exact
-    value of the key it names.
+    no key is relabelled.  ``_z`` relabels each boundary-constraint tuple phi
+    within those blocks, which keeps Z(node, phi).  Every sigma is chosen by
+    sorting the values of a block by a profile that relabelling carries along,
+    so symmetric copies tend to meet in one key; any choice would be correct,
+    and the memo stores the exact value of the key it names.
     """
 
     def __init__(self, instance: HolantInstance, decomposition: SeparatorDecomposition):
@@ -328,7 +439,7 @@ class FptSolver:
         self.stats = FptStats()
         self._memo = {}
         self._z0_memo = {}
-        self._lifted = {}  # (blocks, phi uids) -> the canonical phi and its uids
+        self._lifted = {}  # phi uids -> the canonical phi and its uids
         self._boundary = {}
         self._info = {}
         # computed here, not on first use, so that concurrent calls see one value
@@ -388,67 +499,46 @@ class FptSolver:
 
     # -- public -----------------------------------------------------------
 
-    def holant(self, function_overrides: Optional[Mapping[int, SymmetricFunction]] = None) -> GaussianRational:
-        """Z(V, {}) for the instance, with optional per-vertex function overrides."""
-        g = self.instance.graph
-        funcs = list(self.instance.functions)
-        blocks = self._blocks
-        sigs = None  # node id -> (vertex, uid) of each override in its region
-        if function_overrides:
-            for v, f in function_overrides.items():
-                if not 0 <= v < g.n:
-                    raise InvalidArgumentError(f"override vertex {v} out of range")
-                if f.q != self.instance.q or f.d != g.degree(v):
-                    raise InvalidArgumentError(f"override at vertex {v} has wrong shape")
-            items = sorted(function_overrides.items())
-            if blocks is not None:
-                # sigma fixes every function not overridden, so Z is unchanged,
-                # and calls that differ by such a relabelling share one memo
-                sigma = _sorting_sigma(blocks, [f for _, f in items])
-                if sigma is not None:
-                    items = [(v, relabel(f, sigma)) for v, f in items]
-                blocks = _refine(blocks, [f for _, f in items])
-            for v, f in items:
-                funcs[v] = f
-            sigs = {node.id: tuple((v, f.uid) for v, f in items if v in node.v_set)
-                    for node in self.dec.nodes}
-        return self._z(self.dec.root.id, (), funcs, sigs, blocks)
+    def holant(self) -> GaussianRational:
+        """Z(V, {}) for the instance."""
+        return self._z(self.dec.root.id, ())
 
     # -- internals ----------------------------------------------------------
 
-    def _z(self, node_id, phi, funcs, sigs, blocks) -> GaussianRational:
+    def _z(self, node_id, phi) -> GaussianRational:
         node = self.dec.nodes[node_id]
         if node.is_leaf():
             return ONE
         phi_uids = tuple(c.uid for c in phi)
-        if blocks is not None:
-            phi, phi_uids = self._lift(blocks, phi, phi_uids)
-        key = (node_id, phi_uids, sigs[node_id] if sigs else ())
+        if self._blocks is not None:
+            phi, phi_uids = self._lift(phi, phi_uids)
+        key = (node_id, phi_uids)
         got = self._memo.get(key)
         if got is not None:
             return got
-        value = self._expand(node_id, phi, funcs, sigs, blocks)
+        value = self._expand(node_id, phi)
         self._memo[key] = value
         self.stats.memo_entries += 1
         return value
 
-    def _lift(self, blocks, phi, phi_uids):
-        """The image of ``phi`` under a relabelling within ``blocks``, with its uids.
+    def _lift(self, phi, phi_uids):
+        """The image of ``phi`` under a relabelling within the solver's blocks,
+        with its uids.
 
-        The relabelling fixes every function of the call, so Z(node, phi)
+        The relabelling fixes every function of the instance, so Z(node, phi)
         equals Z(node, image); symmetric images of one phi share an image.
         """
-        key = (blocks, phi_uids)
-        got = self._lifted.get(key)
+        got = self._lifted.get(phi_uids)
         if got is None:
-            sigma = _sorting_sigma(blocks, phi)
+            image = phi, phi_uids
+            sigma = _sorting_sigma(self._blocks, phi)
             if sigma is not None:
                 phi = tuple(relabel(c, sigma) for c in phi)
-                phi_uids = tuple(c.uid for c in phi)
-            got = self._lifted[key] = (phi, phi_uids)
+                image = phi, tuple(c.uid for c in phi)
+            got = self._lifted[phi_uids] = image
         return got
 
-    def _expand(self, node_id, phi, funcs, sigs, blocks) -> GaussianRational:
+    def _expand(self, node_id, phi) -> GaussianRational:
         info = self._info[node_id]
         j, k = info.children
         bd_pos = {v: i for i, v in enumerate(self._boundary[node_id])}
@@ -456,6 +546,7 @@ class FptSolver:
         # per core vertex: g_v (f_v on the separator, the constraint on the
         # boundary) and its child-1 image choices, each with its surviving
         # child-2 images
+        funcs = self.instance.functions
         outer = []
         for i, v in enumerate(info.core):
             gv = funcs[v] if info.roles[i] else phi[bd_pos[v]].to_function()
@@ -465,13 +556,12 @@ class FptSolver:
             outer.append(by_c1)
 
         bd1_pos, bd2_pos = info.bd1_pos, info.bd2_pos
-        sig2 = sigs[k] if sigs else ()
         z_memo = self._memo
         z0_memo = self._z0_memo
         stats = self.stats
         total = ZERO
         for c1_joint in product(*outer):
-            z1 = self._z(j, tuple(c1_joint[p][0] for p in bd1_pos), funcs, sigs, blocks)
+            z1 = self._z(j, tuple(c1_joint[p][0] for p in bd1_pos))
             if not z1:
                 stats.terms += 1
                 continue
@@ -484,9 +574,9 @@ class FptSolver:
                 if not z0:
                     continue
                 key2 = tuple(c2_joint[p][0].uid for p in bd2_pos)
-                z2 = z_memo.get((k, key2, sig2))
+                z2 = z_memo.get((k, key2))
                 if z2 is None:
-                    z2 = self._z(k, tuple(c2_joint[p][0] for p in bd2_pos), funcs, sigs, blocks)
+                    z2 = self._z(k, tuple(c2_joint[p][0] for p in bd2_pos))
                 if not z2:
                     continue
                 total = total + z0 * z1 * z2
@@ -494,12 +584,12 @@ class FptSolver:
 
     def _hol0_compute(self, node_id, h_funcs, key) -> GaussianRational:
         info = self._info[node_id]
-        value = _simple_dp(
+        value = _sweep(
             self.instance.q,
-            [h_funcs[i] for i in info.h0_order],
+            {tuple([h_funcs[i] for i in info.h0_order]): ONE},
             info.h0_incident,
             info.h0_endpoints,
-        )
+        ) or ZERO
         self._z0_memo[key] = value
         self.stats.z0_entries += 1
         return value

@@ -120,9 +120,13 @@ def random_graph(n: int, m: int, seed=None) -> Graph:
 # instances
 
 class HolantInstance:
-    """A graph with one symmetric constraint function per vertex (arity = degree)."""
+    """A graph with one symmetric constraint function per vertex (arity = degree).
 
-    __slots__ = ("graph", "q", "functions", "model")
+    ``model`` is provenance only.  ``approx`` caches in ``_model_check``, per
+    model object, whether the tables are that model's.
+    """
+
+    __slots__ = ("graph", "q", "functions", "model", "_model_check")
 
     def __init__(self, graph: Graph, q: int, functions: Sequence[SymmetricFunction], model=None):
         if len(functions) != graph.n:
@@ -138,6 +142,7 @@ class HolantInstance:
         self.q = q
         self.functions = tuple(functions)
         self.model = model
+        self._model_check = None
 
     def weight(self, config: Sequence[int]) -> GaussianRational:
         """The weight of a full edge configuration: the product of all vertex evaluations."""
@@ -220,6 +225,43 @@ def vertex_boundary(graph: Graph, vertices: Iterable[int]) -> frozenset[int]:
             if u not in inside:
                 out.add(u)
     return frozenset(out)
+
+
+def _far_vertex(graph: Graph, root: int) -> int:
+    """A vertex at the largest BFS distance from ``root``: the last one reached."""
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        last = queue.popleft()
+        for u in sorted(graph.neighbors(last)):
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return last
+
+
+def frontier_order(graph: Graph) -> list[int]:
+    """A linear layout of the vertices with a small frontier, for a forward sweep.
+
+    The frontier is the set of vertices not yet placed that are adjacent to a
+    placed one.  Each component starts at a pseudo-peripheral vertex (two BFS
+    passes); then the next vertex is always the frontier vertex that adds the
+    fewest new vertices to the frontier, ties to the smallest label.
+    """
+    placed = [False] * graph.n
+    order = []
+    for root in range(graph.n):
+        if placed[root]:
+            continue
+        frontier = {_far_vertex(graph, _far_vertex(graph, root))}
+        while frontier:
+            v = min(frontier, key=lambda u: (
+                sum(1 for w in graph.neighbors(u) if not placed[w] and w not in frontier), u))
+            frontier.discard(v)
+            placed[v] = True
+            order.append(v)
+            frontier.update(w for w in graph.neighbors(v) if not placed[w])
+    return order
 
 
 def edge_ball(graph: Graph, e: int, r: int) -> tuple[frozenset[int], frozenset[int]]:

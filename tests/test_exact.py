@@ -1,6 +1,5 @@
+import itertools
 import random
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ from holant import (
     complete_graph,
     cube_graph,
     cycle_graph,
+    edge_ball,
     fpt_hol,
     from_boolean_weights,
     grid_graph,
@@ -28,7 +28,7 @@ from holant import (
     restrict_instance,
     simple_dp_hol,
 )
-from holant.exact import FptSolver, instance_decomposition
+from holant.exact import FptSolver, edge_numerators, instance_decomposition
 from holant.oracle import literal_recursion_hol
 from holant.symfun import SymmetricFunction, composition_count, compositions
 from holant.values import GaussianRational
@@ -204,24 +204,47 @@ def domain_symmetric_instances(draw):
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(domain_symmetric_instances(), st.data())
 def test_lifted_memo_agrees_on_domain_symmetric_instances(inst, data):
-    # lifted keys share one memo entry across relabelled sub-problems; with and
-    # without overrides, each value must still be the brute-force one
+    # lifted keys share one memo entry across relabelled sub-problems, and
+    # lifted sweep states merge symmetric partial assignments; each value must
+    # still be the brute-force one
     want = brute_force_hol(inst)
     decomp, _ = instance_decomposition(inst)
     assert simple_dp_hol(inst) == want == FptSolver(inst, decomp).holant()
-    # the pattern of a ball's numerators: pin edge e to each value in turn, on
-    # one solver built for e = 0, overriding the pinned functions at its ends
+    # the pattern of a ball's numerators: one sweep gives the Holant with edge
+    # e pinned to each value
+    e = data.draw(st.integers(0, inst.graph.m - 1))
+    keep = [x for x in range(inst.graph.m) if x != e]
+    pinned = [restrict_instance(inst, {e: i}, keep) for i in range(inst.q)]
+    assert edge_numerators(inst, e) == [p.scalar * brute_force_hol(p.as_instance()) for p in pinned]
+
+
+def _feasible_fill(inst, drawn):
+    """``drawn`` when its weight is nonzero, else the first configuration in
+    lexicographic order that has nonzero weight (``drawn`` if none has)."""
+    if inst.weight(drawn):
+        return drawn
+    return next((c for c in itertools.product(range(inst.q), repeat=inst.graph.m) if inst.weight(c)), drawn)
+
+
+@DIFFERENTIAL
+@given(st.one_of(differential_instances(), domain_symmetric_instances()), st.data())
+def test_edge_numerators_equal_brute_force_on_balls(inst, data):
+    # the FPTAS ball: restrict to the r-ball of e with the fringe fixed by a
+    # feasible fill; numerator i of the one sweep is the ball's Holant with e
+    # pinned to i
     g = inst.graph
     e = data.draw(st.integers(0, g.m - 1))
-    keep = [x for x in range(g.m) if x != e]
-    subs = [restrict_instance(inst, {e: i}, keep) for i in range(inst.q)]
-    base = subs[0].as_instance()
-    solver = FptSolver(base, instance_decomposition(base)[0])
-    vmap = {v: i for i, v in enumerate(subs[0].vertices)}
-    for i in data.draw(st.permutations(range(inst.q))):
-        sub = subs[i]
-        overrides = {vmap[v]: f for v, f in sub.functions.items() if f is not subs[0].functions[v]}
-        assert solver.holant(overrides) == brute_force_hol(sub.as_instance())
+    r = data.draw(st.integers(0, 3))
+    fill = _feasible_fill(inst, data.draw(st.lists(st.integers(0, inst.q - 1), min_size=g.m, max_size=g.m)))
+    ball, fringe = edge_ball(g, e, r)
+    keep = sorted(ball)
+    sub = restrict_instance(inst, {b: fill[b] for b in fringe}, keep).as_instance()
+    k = keep.index(e)
+    want = []
+    for i in range(inst.q):
+        pinned = restrict_instance(sub, {k: i}, [x for x in range(sub.graph.m) if x != k])
+        want.append(pinned.scalar * brute_force_hol(pinned.as_instance()))
+    assert edge_numerators(sub, k) == want
 
 
 # Z of Potts q=10, beta=1/5 on the prism and the cube, as the unlifted recursion
@@ -346,7 +369,7 @@ def test_fpt_memo_keys_within_closure_bound():
     solver = FptSolver(inst, decomp)
     solver.holant()
     keys_per_node = {}
-    for node_id, phi_uids, _sig in solver._memo:
+    for node_id, phi_uids in solver._memo:
         keys_per_node.setdefault(node_id, set()).add(phi_uids)
     for node in decomp.nodes:
         seen = len(keys_per_node.get(node.id, ()))
@@ -373,58 +396,6 @@ def test_fpt_disconnected_instance():
     inst = matchings_instance(g)
     decomp, _ = instance_decomposition(inst)
     assert fpt_hol(inst, decomp) == 8  # 2^3 independent edges
-
-
-def test_fpt_function_overrides():
-    g = path_graph(4)
-    inst = matchings_instance(g)
-    decomp, _ = instance_decomposition(inst)
-    solver = FptSolver(inst, decomp)
-    base = solver.holant()
-    # forbid vertex 0 from being matched: same as pinning its edge to 0
-    forced = solver.holant({0: from_boolean_weights([1, 0])})
-    assert base == 5 and forced == 3  # matchings of P4 avoiding edge 0
-    assert solver.holant() == base
-    # a negative vertex would alias the last one and miss the memo signature
-    for v in (-1, 4):
-        with pytest.raises(InvalidArgumentError):
-            solver.holant({v: from_boolean_weights([1, 0])})
-
-
-def test_fpt_concurrent_overrides_are_call_local():
-    # threads released together call holant() with different overrides on one
-    # fresh solver; each must get the value a fresh solver gives
-    inst = matchings_instance(grid_graph(4, 4))
-    decomp, _ = instance_decomposition(inst)
-    cases = [
-        None,
-        {0: from_boolean_weights([1, 0, 0])},  # corner left unmatched
-        {5: from_boolean_weights([1, 0, 0, 0, 0])},  # inner vertex left unmatched
-        {15: builtin("exact_one", 2, 2), 6: from_boolean_weights([1, 0, 0, 0, 0])},
-    ]
-    expect = [FptSolver(inst, decomp).holant(o) for o in cases]
-    assert len(set(expect)) == len(cases)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(30):
-            solver = FptSolver(inst, decomp)
-            barrier = threading.Barrier(len(cases), timeout=60)
-            got = [None] * len(cases)
-
-            def run(i):
-                barrier.wait()
-                got[i] = solver.holant(cases[i])
-
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive()
-            assert got == expect
-    finally:
-        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
