@@ -212,7 +212,9 @@ def _restricted_positive(instance, pins) -> bool:
     sub = restrict_instance(instance, pins, keep)
     if not sub.scalar:
         return False
-    return bool(auto_hol(sub.as_instance()))
+    # thousands of these yes/no checks run on tiny restrictions, where lifting
+    # costs more than it merges
+    return bool(auto_hol(sub.as_instance(), lifted=False))
 
 
 def _complete_generic(instance, partial):

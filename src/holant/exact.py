@@ -3,11 +3,15 @@
 Brute force walks the edge configurations depth first and cuts a branch at
 the first zero factor; it shares no code with the solvers.  The sweep is one
 forward vertex-elimination loop whose layers map states to weights: one value
-each, or a vector of k values.  The simple DP and the Z0 sub-DPs run it with
-one value per state.  ``edge_numerators``,
-the exact engine of the FPTAS balls, runs it once per ball with q weights: the
-value of the ball's edge lives in the weight vector, so one pass gives all q
-numerators, and its states are lifted over the domain symmetry of the ball.
+each, or a vector of k values.  The simple DP and ``edge_numerators``, the
+exact engine of the FPTAS balls, share its set-up: the vertices are relabelled
+in ``graphcore.frontier_order``, so a layer's size follows the graph's vertex
+separation, not its input labels, and states are lifted over the domain
+symmetry of the instance.  ``edge_numerators`` runs it once per ball with q
+weights: the value of the ball's edge lives in the weight vector, so one pass
+gives all q numerators.  The Z0 sub-DPs of the FPT solver run the sweep in
+their own order with one value per state.  No layer may hold more than
+``STATE_CAP`` states.
 
 The FPT solver follows the three-way recursion over a separator decomposition:
 at a node with children U1, U2 and separator S, the value Z(U, {phi_v}) is a sum
@@ -45,6 +49,7 @@ from .graphcore import HolantInstance, frontier_order, vertex_boundary
 from .sepdecomp import SeparatorDecomposition, find_min_width, validate
 from .symfun import (
     BooleanSymmetricFunction,
+    composition_count,
     composition_index,
     composition_of,
     compositions,
@@ -59,6 +64,13 @@ from .values import ONE, ZERO, GaussianRational
 
 DEFAULT_ENUM_CAP_BITS = 24
 ENUM_CAP_ENV = "HOLANT_ENUM_CAP"
+# The most states one sweep layer may hold.  A state holds one function per
+# vertex left; on the matchings of the 10x10 grid a state costs about 1.4 KB,
+# the layer being built included, so a full layer of a 100-vertex instance
+# takes about 370 MB.  Sweeps that finish in seconds stay far below it: the
+# 12x12 grid's matchings peak at 2^12 states, and auto_hol's bound for that
+# grid, 157,464, still sends it to the sweep rather than the slower FPT solver.
+STATE_CAP = 1 << 18
 
 
 def enumeration_cap_bits() -> int:
@@ -136,19 +148,21 @@ def brute_force_hol(instance: HolantInstance, cap_bits: Optional[int] = None) ->
 # ---------------------------------------------------------------------------
 # the sweep: the simple DP and the FPTAS ball numerators
 
-def _sweep(q, layer, incident, endpoints, lift=None):
+def _sweep(q, layer, lower, lift=None):
     """Eliminate vertices in descending index order, pinning lower neighbors.
 
+    ``lower[v]`` lists v's neighbors with a lower index (``_lower_neighbors``).
     A state is a tuple of current (pinned, interned) functions, one per vertex
-    not yet eliminated; the function at vertex v must have arity v's degree in
-    the given edge lists less the edges already pinned into it.  ``layer``
-    maps each start state to its weight: one value, or a tuple of k values
-    that are scaled and added componentwise.  The forward sweep keeps one
+    not yet eliminated; the function at vertex v must have arity v's degree
+    less the edges already pinned into it.  ``layer`` maps each start state to
+    its weight: one value, or a tuple of k values that are scaled and added
+    componentwise.  The forward sweep keeps one
     layer: a dict from each state to the sum of the weights of the partial
     assignments that reach it; regularity keeps layers small.  A successor is
     dead, and dropped at once, when a newly pinned function is identically
     zero.  Returns the weight of the empty state, or None when no state
-    survives.  No recursion depth grows with n.
+    survives.  No recursion depth grows with n.  A layer that would hold more
+    than ``STATE_CAP`` states raises ``ResourceExhaustedError``.
 
     With ``lift = (blocks, originals)``, where every relabelling within
     ``blocks`` fixes each of ``originals``, the functions the start states are
@@ -162,17 +176,10 @@ def _sweep(q, layer, incident, endpoints, lift=None):
     """
     if not layer:
         return None
+    cap = STATE_CAP
     n = len(next(iter(layer)))
     vector = type(next(iter(layer.values()))) is tuple
-    lower = [[] for _ in range(n)]
-    for v in range(n):
-        for e in incident[v]:
-            u, w = endpoints[e]
-            other = w if u == v else u
-            if other < v:
-                lower[v].append(other)
     units = compositions(q, 1)[::-1]  # units[a]: one argument set to a
-    images = {}  # successor -> its lifted image, for this call
     for v in range(n - 1, -1, -1):
         neighbors = lower[v]
         d = len(neighbors)
@@ -182,6 +189,7 @@ def _sweep(q, layer, incident, endpoints, lift=None):
             comp = composition_of(q, assign)
             moves.append((index[comp], comp, tuple(zip(neighbors, [units[a] for a in assign]))))
         live_moves = {}  # f_v -> its moves with a nonzero factor; None stands for ONE
+        images = {}  # successor -> its lifted image; successors of one layer share a length
         nxt = {}
         for state, weight in layer.items():
             fv = state[v]
@@ -211,10 +219,18 @@ def _sweep(q, layer, incident, endpoints, lift=None):
                     if lift is not None:
                         image = images.get(succ)
                         if image is None:
+                            if len(images) >= cap:
+                                images.clear()
                             image = images[succ] = _lifted_state(succ, *lift)
                         succ = image
                     got = nxt.get(succ)
-                    nxt[succ] = w if got is None else _vector_sum(got, w) if vector else got + w
+                    if got is not None:
+                        nxt[succ] = _vector_sum(got, w) if vector else got + w
+                    elif len(nxt) < cap:
+                        nxt[succ] = w
+                    else:
+                        raise ResourceExhaustedError(
+                            f"sweep layer exceeds {cap} states after {n - v} of {n} eliminations", last_attempt=cap)
         layer = nxt
     return layer.get(())
 
@@ -233,10 +249,92 @@ def _lifted_state(state, blocks, originals):
     return tuple(f if f is f0 else relabel(f, sigma) for f, f0 in zip(state, originals))
 
 
+def _lower_neighbors(n, edges):
+    """For each of n vertices, its neighbors with a lower index, in edge order:
+    the edges the sweep pins when it eliminates the vertex."""
+    lower = [[] for _ in range(n)]
+    for u, w in edges:
+        if u < w:
+            lower[w].append(u)
+        else:
+            lower[u].append(w)
+    return lower
+
+
+def _frontier_layout(graph, skip=None):
+    """``graph`` less edge ``skip``, relabelled for a sweep in ``frontier_order``.
+
+    The sweep eliminates high labels first, so the k-th vertex of the order
+    gets label n-1-k.  Returns the order, the new label of each vertex, and
+    the lower neighbors of each new label.
+    """
+    order = frontier_order(graph)
+    label = [0] * graph.n
+    for k, v in enumerate(order):
+        label[v] = graph.n - 1 - k
+    edges = [(label[u], label[w]) for x, (u, w) in enumerate(graph.edges) if x != skip]
+    return order, label, _lower_neighbors(graph.n, edges)
+
+
+def _predicted_layer(q, layout) -> int:
+    """An upper bound on the largest layer of an unlifted sweep over ``layout``.
+
+    A state's entry at a vertex is its function pinned by the vertex's swept
+    edges, which depends only on their composition; so a layer has at most the
+    product, over the vertices left, of the number of compositions of each
+    one's swept edges.
+    """
+    lower = layout[2]
+    swept = [0] * len(lower)
+    size = largest = 1
+    for v in range(len(lower) - 1, -1, -1):
+        if swept[v]:
+            size //= composition_count(q, swept[v])
+        for u in lower[v]:
+            k = swept[u]
+            size = size * (k + q) // (k + 1)  # composition_count(q, k + 1) / composition_count(q, k)
+            swept[u] = k + 1
+        if size > largest:
+            largest = size
+    return largest
+
+
+def _frontier_sweep(instance, layout, starts, lifted=True):
+    """The sweep of ``instance`` over ``layout`` from the given start states.
+
+    Each start is (pins, weight): pins lists (vertex, unit composition) pairs
+    pinned into the vertex's function before the sweep, and weight is the
+    start state's weight.  Starts with an identically zero pinned function are
+    dropped, and starts that meet add their weight vectors.  With ``lifted``,
+    states are lifted over the relabellings of the domain that fix every
+    function of the instance (see ``_sweep``), start states included.
+    """
+    order, label, lower = layout
+    originals = tuple(instance.functions[v] for v in reversed(order))
+    blocks = _refine((0,) * instance.q, dict.fromkeys(originals)) if lifted else None
+    lift = None if blocks is None else (blocks, originals)
+    layer = {}
+    for pins, weight in starts:
+        state = list(originals)
+        for v, unit in pins:
+            state[label[v]] = pin(state[label[v]], unit)
+        if any(state[label[v]].is_zero_function() for v, _ in pins):
+            continue
+        state = tuple(state) if lift is None else _lifted_state(tuple(state), *lift)
+        got = layer.get(state)
+        layer[state] = weight if got is None else _vector_sum(got, weight)
+    return _sweep(instance.q, layer, lower, lift)
+
+
 def simple_dp_hol(instance: HolantInstance) -> GaussianRational:
-    """Exact Holant by vertex elimination; equals brute_force_hol on every instance."""
-    g = instance.graph
-    return _sweep(instance.q, {instance.functions: ONE}, g.incident, g.edges) or ZERO
+    """Exact Holant by vertex elimination; equals brute_force_hol on every instance.
+
+    The sweep runs in ``frontier_order`` with its states lifted over the
+    domain symmetry; a layer over ``STATE_CAP`` states raises
+    ``ResourceExhaustedError``.
+    """
+    layout = _frontier_layout(instance.graph)
+    return _frontier_sweep(instance, layout, [((), ONE)]) or ZERO
 
 
 def edge_numerators(instance: HolantInstance, e: int) -> list[GaussianRational]:
@@ -255,30 +353,10 @@ def edge_numerators(instance: HolantInstance, e: int) -> list[GaussianRational]:
     q = instance.q
     if not 0 <= e < g.m:
         raise InvalidArgumentError(f"edge {e} out of range")
-    order = frontier_order(g)
-    label = {v: g.n - 1 - k for k, v in enumerate(order)}  # the sweep eliminates high labels first
-    originals = tuple(instance.functions[v] for v in reversed(order))
-    edges = [(label[u], label[w]) for x, (u, w) in enumerate(g.edges) if x != e]
-    incident = [[] for _ in range(g.n)]
-    for x, (u, w) in enumerate(edges):
-        incident[u].append(x)
-        incident[w].append(x)
-    ends = [label[v] for v in g.endpoints(e)]
-    blocks = _refine((0,) * q, dict.fromkeys(originals))
-    lift = None if blocks is None else (blocks, originals)
     units = compositions(q, 1)[::-1]
-    layer = {}
-    for i in range(q):
-        state = list(originals)
-        for v in ends:
-            state[v] = pin(state[v], units[i])
-        if any(state[v].is_zero_function() for v in ends):
-            continue
-        state = tuple(state) if lift is None else _lifted_state(tuple(state), *lift)
-        unit = tuple(ONE if j == i else ZERO for j in range(q))
-        got = layer.get(state)
-        layer[state] = unit if got is None else _vector_sum(got, unit)
-    z = _sweep(q, layer, incident, edges, lift)
+    starts = [([(v, units[i]) for v in g.endpoints(e)], tuple(ONE if j == i else ZERO for j in range(q)))
+              for i in range(q)]
+    z = _frontier_sweep(instance, _frontier_layout(g, skip=e), starts)
     return [ZERO] * q if z is None else list(z)
 
 
@@ -314,12 +392,20 @@ def instance_decomposition(
 # ---------------------------------------------------------------------------
 # boundary-constrained sub-Holants
 
-def auto_hol(instance: HolantInstance) -> GaussianRational:
-    """Exact Holant: the simple DP on small instances, the FPT recursion otherwise."""
-    if instance.graph.n <= 14 and instance.q <= 4:
-        return simple_dp_hol(instance)
-    decomp, _ = instance_decomposition(instance)
-    return FptSolver(instance, decomp).holant()
+def auto_hol(instance: HolantInstance, lifted: bool = True) -> GaussianRational:
+    """Exact Holant: the simple DP's sweep, or the FPT recursion when the sweep
+    could outgrow ``STATE_CAP``.
+
+    The prediction is ``_predicted_layer`` of the frontier layout, a bound that
+    ignores lifting, so every sweep this runs stays under the cap.  ``lifted =
+    False`` skips lifting: on tiny instances, such as the positivity checks of
+    the generic completion search, its bookkeeping costs more than it merges.
+    """
+    layout = _frontier_layout(instance.graph)
+    if _predicted_layer(instance.q, layout) > STATE_CAP:
+        decomp, _ = instance_decomposition(instance)
+        return FptSolver(instance, decomp).holant()
+    return _frontier_sweep(instance, layout, [((), ONE)], lifted) or ZERO
 
 
 def hol_with_boundary(
@@ -365,18 +451,17 @@ class FptStats:
 
 class _NodeInfo:
     __slots__ = ("core", "roles", "d1", "d2", "bd1_pos", "bd2_pos",
-                 "h0_incident", "h0_endpoints", "children", "h0_order")
+                 "h0_lower", "children", "h0_order")
 
     def __init__(self, core, roles, d1, d2, bd1_pos, bd2_pos,
-                 h0_incident, h0_endpoints, children, h0_order):
+                 h0_lower, children, h0_order):
         self.core = core
         self.roles = roles
         self.d1 = d1
         self.d2 = d2
         self.bd1_pos = bd1_pos
         self.bd2_pos = bd2_pos
-        self.h0_incident = h0_incident
-        self.h0_endpoints = h0_endpoints
+        self.h0_lower = h0_lower
         self.children = children
         self.h0_order = h0_order
 
@@ -473,10 +558,10 @@ class FptSolver:
         for a, b in g.edges:
             if a in pos and b in pos and (a in s_set or b in s_set):
                 h0_edges.append((pos[a], pos[b]))
-        h0_incident = [[] for _ in core]
-        for e_idx, (a, b) in enumerate(h0_edges):
-            h0_incident[a].append(e_idx)
-            h0_incident[b].append(e_idx)
+        h0_deg = [0] * len(core)
+        for a, b in h0_edges:
+            h0_deg[a] += 1
+            h0_deg[b] += 1
         bd1_pos = tuple(i for i, v in enumerate(core) if d1[i] > 0)
         bd2_pos = tuple(i for i, v in enumerate(core) if d2[i] > 0)
         if tuple(core[i] for i in bd1_pos) != self._boundary[j] or \
@@ -485,17 +570,11 @@ class FptSolver:
                 f"decomposition node {node.id}: children boundaries do not match the graph"
             )
         # eliminate low-degree H0 vertices first: hubs get low indices
-        h0_deg = [len(inc) for inc in h0_incident]
         order = sorted(range(len(core)), key=lambda i: (-h0_deg[i], i))
         inv = {old: new for new, old in enumerate(order)}
-        perm_edges = tuple((inv[a], inv[b]) for a, b in h0_edges)
-        perm_incident = [[] for _ in core]
-        for e_idx, (a, b) in enumerate(perm_edges):
-            perm_incident[a].append(e_idx)
-            perm_incident[b].append(e_idx)
+        h0_lower = _lower_neighbors(len(core), [(inv[a], inv[b]) for a, b in h0_edges])
         return _NodeInfo(core, roles, tuple(d1), tuple(d2),
-                         bd1_pos, bd2_pos, perm_incident, perm_edges, (j, k),
-                         tuple(order))
+                         bd1_pos, bd2_pos, h0_lower, (j, k), tuple(order))
 
     # -- public -----------------------------------------------------------
 
@@ -558,6 +637,7 @@ class FptSolver:
         bd1_pos, bd2_pos = info.bd1_pos, info.bd2_pos
         z_memo = self._memo
         z0_memo = self._z0_memo
+        lifted = None if self._blocks is None else self._lifted
         stats = self.stats
         total = ZERO
         for c1_joint in product(*outer):
@@ -574,6 +654,8 @@ class FptSolver:
                 if not z0:
                     continue
                 key2 = tuple(c2_joint[p][0].uid for p in bd2_pos)
+                if lifted is not None:
+                    key2 = lifted.get(key2, (None, key2))[1]  # the memo holds canonical keys
                 z2 = z_memo.get((k, key2))
                 if z2 is None:
                     z2 = self._z(k, tuple(c2_joint[p][0] for p in bd2_pos))
@@ -587,8 +669,7 @@ class FptSolver:
         value = _sweep(
             self.instance.q,
             {tuple([h_funcs[i] for i in info.h0_order]): ONE},
-            info.h0_incident,
-            info.h0_endpoints,
+            info.h0_lower,
         ) or ZERO
         self._z0_memo[key] = value
         self.stats.z0_entries += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 from typing import Iterable, Mapping, Sequence
@@ -227,17 +228,16 @@ def vertex_boundary(graph: Graph, vertices: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _far_vertex(graph: Graph, root: int) -> int:
+def _far_vertex(adjacency, root: int) -> int:
     """A vertex at the largest BFS distance from ``root``: the last one reached."""
     seen = {root}
-    queue = deque([root])
-    while queue:
-        last = queue.popleft()
-        for u in sorted(graph.neighbors(last)):
+    queue = [root]
+    for v in queue:
+        for u in adjacency[v]:
             if u not in seen:
                 seen.add(u)
                 queue.append(u)
-    return last
+    return queue[-1]
 
 
 def frontier_order(graph: Graph) -> list[int]:
@@ -247,20 +247,48 @@ def frontier_order(graph: Graph) -> list[int]:
     placed one.  Each component starts at a pseudo-peripheral vertex (two BFS
     passes); then the next vertex is always the frontier vertex that adds the
     fewest new vertices to the frontier, ties to the smallest label.
+
+    The frontier lives in a heap of (new-vertex count, label).  A count only
+    falls, by one each time a neighbor joins the frontier, so every fall pushes
+    a fresh entry and stale entries are skipped when popped: O(m log m) in all.
     """
+    adjacency = [[] for _ in range(graph.n)]
+    for u, w in graph.edges:
+        adjacency[u].append(w)
+        adjacency[w].append(u)
+    for neighbors in adjacency:
+        neighbors.sort()
     placed = [False] * graph.n
+    in_frontier = [False] * graph.n
+    fresh = [0] * graph.n  # for a frontier vertex: its neighbors neither placed nor in the frontier
     order = []
     for root in range(graph.n):
         if placed[root]:
             continue
-        frontier = {_far_vertex(graph, _far_vertex(graph, root))}
-        while frontier:
-            v = min(frontier, key=lambda u: (
-                sum(1 for w in graph.neighbors(u) if not placed[w] and w not in frontier), u))
-            frontier.discard(v)
+        start = _far_vertex(adjacency, _far_vertex(adjacency, root))
+        in_frontier[start] = True
+        fresh[start] = len(adjacency[start])
+        heap = [(fresh[start], start)]
+        while heap:
+            count, v = heapq.heappop(heap)
+            if not in_frontier[v] or count != fresh[v]:
+                continue
+            in_frontier[v] = False
             placed[v] = True
             order.append(v)
-            frontier.update(w for w in graph.neighbors(v) if not placed[w])
+            for w in adjacency[v]:
+                if placed[w] or in_frontier[w]:
+                    continue
+                in_frontier[w] = True
+                count = 0
+                for x in adjacency[w]:
+                    if in_frontier[x]:
+                        fresh[x] -= 1
+                        heapq.heappush(heap, (fresh[x], x))
+                    elif not placed[x]:
+                        count += 1
+                fresh[w] = count
+                heapq.heappush(heap, (count, w))
     return order
 
 

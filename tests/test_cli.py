@@ -1,13 +1,16 @@
 import io
 import os
+import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
 
 import holant
 from holant.cli import EXIT_EXHAUSTED, EXIT_INVALID, EXIT_OK, main, parse_graph_spec
+import holant.exact
 from holant.exact import instance_decomposition
 from holant.instancefile import parse_instance_document, serialize_instance
 
@@ -173,6 +176,36 @@ def test_resource_exhaustion_exit_code():
     text = model_text(["matchings", "--graph", "grid:4x5"])
     code, _ = run_cli(["exact", "--method", "brute"], stdin_text=text)
     assert code == EXIT_EXHAUSTED
+
+
+def test_sweep_over_the_state_cap_exits_3(monkeypatch, capsys):
+    # the 8x8 grid's matchings need 2^8 states in a layer; under a cap of 64
+    # the sweep stops at the first layer past it
+    text = model_text(["matchings", "--graph", "grid:8x8"])
+    monkeypatch.setattr(holant.exact, "STATE_CAP", 64)
+    t0 = time.perf_counter()
+    code, _ = run_cli(["exact", "--method", "simple"], stdin_text=text)
+    assert time.perf_counter() - t0 < 5
+    assert code == EXIT_EXHAUSTED
+    assert "exceeds 64 states" in capsys.readouterr().err
+
+
+def test_simple_method_ignores_the_input_labels():
+    # the sweep runs in its own frontier order, so shuffled vertex labels
+    # leave the 8x8 grid's layers small
+    grid = holant.grid_graph(8, 8)
+    rng = random.Random(8)
+    perm = list(range(grid.n))
+    rng.shuffle(perm)
+    graph = holant.Graph(grid.n, [(perm[u], perm[w]) for u, w in grid.edges])
+    inst = holant.HolantInstance(graph, 2, [holant.builtin("at_most_one", 2, graph.degree(v))
+                                            for v in range(graph.n)])
+    text = serialize_instance(inst)
+    t0 = time.perf_counter()
+    code, out = run_cli(["exact", "--method", "simple"], stdin_text=text)
+    assert time.perf_counter() - t0 < 1
+    assert code == EXIT_OK
+    assert "value: 179788343101980135" in out
 
 
 def test_deep_instance_exits_without_traceback(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +26,13 @@ from holant import (
     hol_with_boundary,
     path_graph,
     prism_graph,
+    random_graph,
     restrict_instance,
     simple_dp_hol,
 )
-from holant.exact import FptSolver, edge_numerators, instance_decomposition
+from holant import exact
+from holant.exact import FptSolver, auto_hol, edge_numerators, instance_decomposition
+from holant.models import ModelSpec, build_model
 from holant.oracle import literal_recursion_hol
 from holant.symfun import SymmetricFunction, composition_count, compositions
 from holant.values import GaussianRational
@@ -150,12 +154,71 @@ def differential_instances(draw):
     return HolantInstance(g, q, funcs)
 
 
+@st.composite
+def model_instances(draw):
+    """Potts models and colorings on small random graphs: every relabelling of
+    the domain fixes them, so the sweep lifts its states."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = rng.randint(2, 4)
+    g = random_graph(n, rng.randint(1, min(n * (n - 1) // 2, 3)), seed=rng.randint(0, 10 ** 9))
+    q = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        lam = draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+        return build_model(ModelSpec("potts", {"q": q, "lambda": lam}), g)
+    return build_model(ModelSpec("colorings", {"q": q}), g)
+
+
+def _relabelled(inst, vertex_perm, edge_order):
+    """The instance with vertex v renamed vertex_perm[v] and its edges listed
+    in ``edge_order``; it has the same Holant."""
+    g = inst.graph
+    funcs = [None] * g.n
+    for v, f in enumerate(inst.functions):
+        funcs[vertex_perm[v]] = f
+    edges = [(vertex_perm[g.edges[e][0]], vertex_perm[g.edges[e][1]]) for e in edge_order]
+    return HolantInstance(Graph(g.n, edges), inst.q, funcs)
+
+
+class _FptRoute:
+    """Stands in for FptSolver to show which route auto_hol took."""
+
+    def __init__(self, instance, decomposition):
+        pass
+
+    def holant(self):
+        return "fpt"
+
+
+def _assert_sweep_entries_agree(inst, want, data):
+    """The sweep's entry points on ``inst``, whose Holant is ``want``.
+
+    simple_dp_hol orders the vertices itself, so no labelling of the input may
+    change its value.  auto_hol's prediction bounds every unlifted layer, so
+    with the cap at the bound the sweep runs and never exceeds it; one below
+    the bound, the FPT solver runs.
+    """
+    g = inst.graph
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    perm, order = list(range(g.n)), list(range(g.m))
+    rng.shuffle(perm)
+    rng.shuffle(order)
+    assert simple_dp_hol(_relabelled(inst, perm, order)) == want
+    lifted = data.draw(st.booleans())
+    bound = exact._predicted_layer(inst.q, exact._frontier_layout(g))
+    with mock.patch.object(exact, "STATE_CAP", bound):
+        assert auto_hol(inst, lifted=lifted) == want
+    with mock.patch.object(exact, "STATE_CAP", bound - 1), \
+            mock.patch.object(exact, "FptSolver", _FptRoute):
+        assert auto_hol(inst, lifted=lifted) == "fpt"
+
+
 @DIFFERENTIAL
-@given(differential_instances())
-def test_exact_solvers_agree_on_random_instances(inst):
+@given(differential_instances(), st.data())
+def test_exact_solvers_agree_on_random_instances(inst, data):
     decomp, _ = instance_decomposition(inst)
-    assert simple_dp_hol(inst) == brute_force_hol(inst) == fpt_hol(inst, decomp) \
-        == literal_recursion_hol(inst, decomp)
+    want = brute_force_hol(inst)
+    assert simple_dp_hol(inst) == want == fpt_hol(inst, decomp) == literal_recursion_hol(inst, decomp)
+    _assert_sweep_entries_agree(inst, want, data)
 
 
 def _symmetric_table(draw, q, d, partition):
@@ -218,6 +281,14 @@ def test_lifted_memo_agrees_on_domain_symmetric_instances(inst, data):
     assert edge_numerators(inst, e) == [p.scalar * brute_force_hol(p.as_instance()) for p in pinned]
 
 
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(st.one_of(domain_symmetric_instances(), model_instances()), st.data())
+def test_sweep_entries_agree_where_lifting_fires(inst, data):
+    # Potts models, colorings and other domain-symmetric instances: the sweep
+    # lifts its states, whatever labels the input gives its vertices and edges
+    _assert_sweep_entries_agree(inst, brute_force_hol(inst), data)
+
+
 def _feasible_fill(inst, drawn):
     """``drawn`` when its weight is nonzero, else the first configuration in
     lexicographic order that has nonzero weight (``drawn`` if none has)."""
@@ -245,6 +316,26 @@ def test_edge_numerators_equal_brute_force_on_balls(inst, data):
         pinned = restrict_instance(sub, {k: i}, [x for x in range(sub.graph.m) if x != k])
         want.append(pinned.scalar * brute_force_hol(pinned.as_instance()))
     assert edge_numerators(sub, k) == want
+
+
+def test_auto_hol_equals_fpt_solver_on_both_sides_of_the_cap():
+    # Potts q=10 on K4 is predicted under the cap and runs the sweep; on K5 it
+    # is predicted over it and runs the FPT solver, though the lifted sweep
+    # still fits
+    for graph, over in ((complete_graph(4), False), (complete_graph(5), True)):
+        inst = build_model(ModelSpec("potts", {"q": 10, "lambda": Fraction(3, 2)}), graph)
+        bound = exact._predicted_layer(inst.q, exact._frontier_layout(inst.graph))
+        assert (bound > exact.STATE_CAP) == over
+        want = FptSolver(inst, instance_decomposition(inst)[0]).holant()
+        assert auto_hol(inst) == want == simple_dp_hol(inst)
+
+
+def test_simple_dp_over_the_state_cap_raises():
+    inst = matchings_instance(grid_graph(4, 4))
+    with mock.patch.object(exact, "STATE_CAP", 8):
+        with pytest.raises(ResourceExhaustedError):
+            simple_dp_hol(inst)
+    assert simple_dp_hol(inst) == 10012  # the matchings of the 4x4 grid
 
 
 # Z of Potts q=10, beta=1/5 on the prism and the cube, as the unlifted recursion
@@ -278,8 +369,6 @@ def test_lifted_work_counts_potts_q10():
     # Potts q=10 is invariant under every relabelling of the domain, so the
     # lifted memo holds few entries; the values are the ones the unlifted
     # recursion computed
-    from holant.models import ModelSpec, build_model
-
     for graph, memo_bound, terms_bound, want in (
         (prism_graph(), 100, 1_000, POTTS_Q10_PRISM),
         (cube_graph(), 200, 2_000, POTTS_Q10_CUBE),

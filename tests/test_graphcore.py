@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 from collections import deque
 from fractions import Fraction
 
@@ -17,9 +19,11 @@ from holant import (
     incidence_transform,
     path_graph,
     pin,
+    random_graph,
     restrict_instance,
     vertex_boundary,
 )
+from holant.graphcore import frontier_order
 from holant.oracle import spin_partition_brute
 from holant.symfun import SymmetricFunction, compositions
 from holant.values import ONE
@@ -251,3 +255,59 @@ def test_restrict_hol_preserved_under_conditioning():
         sub_inst = sub.as_instance()
         parts.append(sub.scalar * brute_force_hol(sub_inst))
     assert parts[0] + parts[1] == total
+
+
+# ---------------------------------------------------------------------------
+# frontier order
+
+def _frontier_order_by_scan(graph):
+    """The frontier order by its definition: BFS twice for the start of each
+    component, then a scan of the whole frontier for every next vertex."""
+    def far(root):
+        seen = {root}
+        queue = deque([root])
+        while queue:
+            last = queue.popleft()
+            for u in sorted(graph.neighbors(last)):
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        return last
+
+    placed = [False] * graph.n
+    order = []
+    for root in range(graph.n):
+        if placed[root]:
+            continue
+        frontier = {far(far(root))}
+        while frontier:
+            v = min(frontier, key=lambda u: (
+                sum(1 for w in graph.neighbors(u) if not placed[w] and w not in frontier), u))
+            frontier.discard(v)
+            placed[v] = True
+            order.append(v)
+            frontier.update(w for w in graph.neighbors(v) if not placed[w])
+    return order
+
+
+def test_frontier_order_equals_the_frontier_scan():
+    rng = random.Random(16)
+    graphs = [grid_graph(5, 7), cycle_graph(9), complete_graph(6), Graph(4, [])]
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        m = rng.randint(0, min(n * (n - 1) // 2, 3 * n))
+        graphs.append(random_graph(n, m, seed=rng.randint(0, 10 ** 9)))
+    for g in graphs:
+        order = frontier_order(g)
+        assert order == _frontier_order_by_scan(g)
+        assert sorted(order) == list(range(g.n))
+
+
+def test_frontier_order_of_a_large_star_is_fast():
+    star = Graph(3001, [(0, leaf) for leaf in range(1, 3001)])
+    t0 = time.perf_counter()
+    order = frontier_order(star)
+    assert time.perf_counter() - t0 < 0.5
+    # BFS from leaf 3000 ends at leaf 2999, the start; then the hub, then the
+    # other leaves, which add nothing to the frontier, by label
+    assert order == [2999, 0] + [leaf for leaf in range(1, 3001) if leaf != 2999]
