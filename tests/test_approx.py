@@ -21,13 +21,14 @@ from holant import (
     marginal_distribution,
     parse_instance,
     path_graph,
+    prism_graph,
     restrict_instance,
     tractable_search,
 )
 from holant import approx
 from holant.approx import _complete_generic
 from holant.graphcore import incidence_base
-from holant.models import ModelSpec, build_model
+from holant.models import MODEL_KINDS, ModelSpec, build_model
 from holant.oracle import gibbs_oracle
 
 
@@ -340,6 +341,29 @@ def test_fptas_golden_random_draws():
     for _ in range(100):
         h.update(_fptas_record(random_instance(rng)).encode())
     assert h.hexdigest() == "52cc45cff1169da772be1a1cab18ee811f03595a762c87b3b2e3247b6f54dc95"
+
+
+def _model_params(kind, graph):
+    return {
+        "matchings": {},
+        "perfect_matchings": {},
+        "weighted_matchings": {"edge_weights": [Fraction(k + 1, 2) for k in range(graph.m)]},
+        "colorings": {"q": 5},
+        "potts": {"q": 3, "lambda": 2},
+        "subgraphs_world": {"lambda": Fraction(1, 2), "mu": Fraction(1, 3)},
+        "ising": {"beta": Fraction(1, 3), "B": Fraction(1, 4)},
+    }[kind]
+
+
+def test_fptas_golden_model_instances():
+    # one digest over the adaptive FPTAS records of every model kind on four
+    # graphs, so the completion that fills each ball's fringe must leave every
+    # value, radius and gap of the model-built instances as it was
+    h = hashlib.sha256()
+    for graph in (path_graph(4), cycle_graph(6), prism_graph(), grid_graph(3, 3)):
+        for kind in MODEL_KINDS:
+            h.update(_fptas_record(build_model(ModelSpec(kind, _model_params(kind, graph)), graph)).encode())
+    assert h.hexdigest() == "7d79865ea20e13e1a81a5147547eb4c1a21bdb2e03f0354b2a346be78f481e6b"
 
 
 # Weighted equality functions at vertices 0, 1 and 5 carry the fringe fill
