@@ -14,7 +14,6 @@ from holant import (
     serialize_instance,
     tractable_search,
 )
-from holant.graphcore import incidence_base
 from holant.models import ModelSpec, build_model
 
 
@@ -31,8 +30,9 @@ def main():
     print()
     print(f"round-trip value preserved: {brute_force_hol(again) == brute_force_hol(inst)}")
     print(f"model provenance survives: kind={again.model.kind}")
-    print(f"spin-world graph read from the incidence layout: edges={incidence_base(again.graph).edges}")
-    print(f"model completion still works: {tractable_search(again, {2: 1}) is not None}")
+    print(f"incidence layout preserved: {again.graph.edges == inst.graph.edges}")
+    fill = tractable_search(again, {2: 1})
+    print(f"smallest feasible extension of half-edge 2 = 1: {tuple(fill[e] for e in range(again.graph.m))}")
 
     print()
     print("== Exact conditional marginals from the Gibbs oracle ==")

@@ -10,10 +10,9 @@ the ball.  Under the adaptive policy the radius
 doubles until consecutive distributions agree within the stabilization
 tolerance.  The FPTAS pins edges one at a time at the argmax estimated value
 and divides the chosen configuration's weight by the product of the recorded
-conditional probabilities.  It asks one completion question per step: the
-completion that shows the chosen value extends is the next step's fringe fill.
-The instance alone decides which completion search runs: its model kind, when
-its tables are that model's.
+conditional probabilities.  Every fringe fill is the smallest feasible
+extension of the pins so far (``tractable_search``), so a step whose chosen
+value is the fill's own asks no completion question at all.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from .errors import (
     InvalidArgumentError,
 )
 from .exact import auto_hol, edge_numerators
-from .graphcore import HolantInstance, edge_ball, incidence_base, restrict_instance
-from .models import build_model
+from .graphcore import HolantInstance, edge_ball, restrict_instance
+from .symfun import pin
 from .values import GaussianRational
 
 
@@ -73,137 +72,54 @@ class RadiusPolicy:
 
 def _values_real_nonnegative(instance) -> bool:
     return all(
-        not v.im and v.re >= 0 for f in instance.functions for v in f.table
+        not v.im and v.re >= 0 for f in dict.fromkeys(instance.functions) for v in f.table
     )
 
 
 def tractable_search(instance: HolantInstance, partial: Mapping[int, int]) -> Optional[dict]:
-    """Extend a partial edge configuration to a full feasible one, or return None.
+    """The lexicographically smallest feasible extension of a partial edge
+    configuration, in edge-id order, or None when no extension is feasible.
 
-    The instance's model kind picks the completion, but only when the
-    instance is that model (``_model_kind``): matchings, the paired-incidence
-    models (weighted matchings, subgraphs world, Ising) and the
-    spin-incidence models (Potts, colorings) have direct ones, which read the
-    layout from the graph (``incidence_base``).  Anything else, perfect
-    matchings, restricted sub-instances and instances whose tables do not
-    match their model line included, gets the lexicographically smallest
-    feasible extension by extension testing with the exact solvers
-    (polynomial only in the sub-exponential sense).
+    A greedy walk pins each free edge, in id order, to the smallest value that
+    leaves both endpoint functions nonzero: some values of their free edges
+    still give a nonzero value.  Every feasible extension passes each of these
+    local tests, so a walk that reaches the last edge has found the smallest
+    one.  At a dead end the search falls back to extension testing: the same
+    greedy order, with each value checked by an exact positivity test of the
+    restricted Holant, which is sound because the values are nonnegative.
     """
     g = instance.graph
+    q = instance.q
     for e, val in partial.items():
         if not 0 <= e < g.m:
             raise InvalidArgumentError(f"partial assigns out-of-range edge {e}")
-        if not 0 <= val < instance.q:
-            raise InvalidArgumentError(f"partial value {val} outside domain [{instance.q}]")
-    kind = _model_kind(instance)
-    if kind == "matchings":
-        return _complete_matchings(instance, partial)
-    if kind in ("weighted_matchings", "subgraphs_world", "ising"):
-        return _complete_paired_incidence(instance, partial, kind)
-    if kind in ("potts", "colorings"):
-        return _complete_spin_incidence(instance, partial, kind)
-    return _complete_generic(instance, partial)
-
-
-def _model_kind(instance) -> Optional[str]:
-    """The kind of the instance's model when the instance is that model: its
-    tables are the ones ``build_model`` gives for the kind and parameters, on
-    the instance's graph or, for incidence kinds, on ``incidence_base`` of it.
-    None otherwise, and for perfect matchings, which has no direct completion.
-    The answer is cached on the instance for its current model object."""
-    spec = instance.model
-    cached = instance._model_check
-    if cached is not None and cached[0] is spec:
-        return cached[1]
-    kind = None
-    if spec is not None and spec.kind != "perfect_matchings":
-        try:
-            graph = instance.graph if spec.kind == "matchings" else incidence_base(instance.graph)
-            built = build_model(spec, graph)
-        except (InvalidArgumentError, TypeError):  # TypeError: a list where a number belongs
-            built = None
-        if built is not None and built.q == instance.q and built.functions == instance.functions:
-            kind = spec.kind
-    instance._model_check = (spec, kind)
-    return kind
-
-
-def _complete_matchings(instance, partial):
-    g = instance.graph
-    used = [0] * g.n
+        if not 0 <= val < q:
+            raise InvalidArgumentError(f"partial value {val} outside domain [{q}]")
+    if not _values_real_nonnegative(instance):
+        raise InvalidArgumentError("tractable search needs nonnegative real function values")
+    functions = instance.functions
+    kappa = [[0] * q for _ in range(g.n)]  # per vertex: the composition of its pinned edges
     for e, val in partial.items():
-        if val:
-            for v in g.endpoints(e):
-                used[v] += 1
-    if any(c > 1 for c in used):
+        for v in g.endpoints(e):
+            kappa[v][val] += 1
+    if any(pin(functions[v], kappa[v]).is_zero_function() for v in range(g.n)):
         return None
-    out = {e: 0 for e in range(g.m)}
-    out.update(partial)
-    return out
-
-
-def _complete_paired_incidence(instance, partial, kind):
-    """Incidence models whose edge-side function vanishes exactly on mixed pairs.
-
-    The two incidence edges of each original edge must agree; matchings-like
-    vertex sides additionally allow at most one selected edge per vertex.
-    """
-    base = incidence_base(instance.graph)
-    n = base.n
-    g = instance.graph
     out = dict(partial)
-    for j in range(base.m):
-        ev = n + j  # the edge-side vertex carries exactly the two half-edges
-        half = g.incident[ev]
-        have = [out[e] for e in half if e in out]
-        if len(set(have)) > 1:
-            return None
-        fill = have[0] if have else 0
-        for e in half:
-            out.setdefault(e, fill)
-        if len(set(out[e] for e in half)) > 1:
-            return None
-    if kind == "weighted_matchings":
-        for v in range(n):
-            if sum(out[e] for e in g.incident[v]) > 1:
-                return None
-    return out
-
-
-def _complete_spin_incidence(instance, partial, kind):
-    """Spin models on the incidence graph: all half-edges at a vertex share its spin."""
-    base = incidence_base(instance.graph)
-    n = base.n
-    g = instance.graph
-    spin = {}
-    for e, val in partial.items():
-        u, w = g.endpoints(e)
-        v = u if u < n else w  # one endpoint is always an original vertex
-        if spin.setdefault(v, val) != val:
-            return None
-    q = instance.q
-    if kind == "potts":
-        for v in range(n):
-            spin.setdefault(v, 0)
-    else:  # colorings: greedy proper extension, valid in the gated regime q > deg
-        for v in range(n):
-            if v in spin:
-                continue
-            taken = {spin[u] for u in base.neighbors(v) if u in spin}
-            free = next((c for c in range(q) if c not in taken), None)
-            if free is None:
-                return None
-            spin[v] = free
-        for u, w in base.edges:
-            if spin[u] == spin[w]:
-                return None
-    out = {}
     for e in range(g.m):
+        if e in out:
+            continue
         u, w = g.endpoints(e)
-        v = u if u < n else w
-        out[e] = spin[v]
-    out.update(partial)
+        for i in range(q):
+            kappa[u][i] += 1
+            kappa[w][i] += 1
+            if not (pin(functions[u], kappa[u]).is_zero_function()
+                    or pin(functions[w], kappa[w]).is_zero_function()):
+                out[e] = i
+                break
+            kappa[u][i] -= 1
+            kappa[w][i] -= 1
+        else:
+            return _complete_by_checks(instance, partial)
     return out
 
 
@@ -217,11 +133,7 @@ def _restricted_positive(instance, pins) -> bool:
     return bool(auto_hol(sub.as_instance(), lifted=False))
 
 
-def _complete_generic(instance, partial):
-    if not _values_real_nonnegative(instance):
-        raise InvalidArgumentError(
-            "generic tractable search needs nonnegative real function values"
-        )
+def _complete_by_checks(instance, partial):
     pins = dict(partial)
     if not _restricted_positive(instance, pins):
         return None
@@ -393,9 +305,10 @@ def fptas_hol(
     marginal (ties to the smallest value) that the tractable search can
     extend; the result is the pinned configuration's weight divided by the
     product of recorded probabilities.  The completion found for the chosen
-    value fills the next step's fringe, so a run asks m+1 completion
-    questions when every argmax extends.  Exact when every step's radius
-    covers the whole component.
+    value fills the next step's fringe.  It is the smallest feasible
+    extension of the pins, so when a step chooses the value it already gives
+    the edge, it is still the answer and no question is asked.  Exact when
+    every step's radius covers the whole component.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -425,6 +338,9 @@ def fptas_hol(
         chosen = None
         for i in order:
             if dist[i] == 0:
+                break
+            if i == completion[e]:
+                chosen = i
                 break
             nxt = tractable_search(instance, {**pins, e: i})
             if nxt is not None:

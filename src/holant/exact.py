@@ -398,8 +398,9 @@ def auto_hol(instance: HolantInstance, lifted: bool = True) -> GaussianRational:
 
     The prediction is ``_predicted_layer`` of the frontier layout, a bound that
     ignores lifting, so every sweep this runs stays under the cap.  ``lifted =
-    False`` skips lifting: on tiny instances, such as the positivity checks of
-    the generic completion search, its bookkeeping costs more than it merges.
+    False`` skips lifting: on tiny instances, such as the positivity checks
+    the completion search falls back to, its bookkeeping costs more than it
+    merges.
     """
     layout = _frontier_layout(instance.graph)
     if _predicted_layer(instance.q, layout) > STATE_CAP:

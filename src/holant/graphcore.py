@@ -123,11 +123,11 @@ def random_graph(n: int, m: int, seed=None) -> Graph:
 class HolantInstance:
     """A graph with one symmetric constraint function per vertex (arity = degree).
 
-    ``model`` is provenance only.  ``approx`` caches in ``_model_check``, per
-    model object, whether the tables are that model's.
+    ``model`` is provenance only, the kind and parameters the instance was
+    built from; no solver reads it.
     """
 
-    __slots__ = ("graph", "q", "functions", "model", "_model_check")
+    __slots__ = ("graph", "q", "functions", "model")
 
     def __init__(self, graph: Graph, q: int, functions: Sequence[SymmetricFunction], model=None):
         if len(functions) != graph.n:
@@ -143,7 +143,6 @@ class HolantInstance:
         self.q = q
         self.functions = tuple(functions)
         self.model = model
-        self._model_check = None
 
     def weight(self, config: Sequence[int]) -> GaussianRational:
         """The weight of a full edge configuration: the product of all vertex evaluations."""
@@ -173,25 +172,6 @@ def paired_incidence(
     n = graph.n
     inc_edges = [(u, n + j) for j, ends in enumerate(graph.edges) for u in ends]
     return HolantInstance(Graph(n + graph.m, inc_edges), q, list(vertex_fns) + list(edge_fns))
-
-
-def incidence_base(graph: Graph) -> Graph:
-    """The graph that ``paired_incidence`` turns into ``graph``.
-
-    Each of the last m/2 vertices must have two neighbours below them; edge
-    vertex n_base + j gives base edge j.  Neighbours are read, not half-edge
-    ids, so any edge order works.
-    """
-    n_base = graph.n - graph.m // 2
-    if graph.m % 2 or n_base < 0:
-        raise InvalidArgumentError(f"{graph!r} is not an incidence graph")
-    base_edges = []
-    for ev in range(n_base, graph.n):
-        nbrs = sorted(graph.neighbors(ev))
-        if len(nbrs) != 2 or nbrs[1] >= n_base:
-            raise InvalidArgumentError(f"vertex {ev} is not an edge vertex of an incidence graph")
-        base_edges.append((nbrs[0], nbrs[1]))
-    return Graph(n_base, base_edges)
 
 
 def incidence_transform(

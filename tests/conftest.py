@@ -1,10 +1,14 @@
-"""Shared helpers: random regular-builtin instances and brute-force oracles."""
+"""Shared helpers: random regular-builtin instances, Hypothesis strategies
+built on them, and brute-force oracles."""
 
 import itertools
 import random
 from fractions import Fraction
 
-from holant import HolantInstance, builtin, random_graph
+from hypothesis import strategies as st
+
+from holant import GaussianRational, HolantInstance, builtin, random_graph
+from holant.symfun import composition_count
 
 
 def random_regular_function(rng, q, d):
@@ -50,6 +54,41 @@ def random_instance(rng, max_n=8, max_edges=None, qs=(2, 3)):
     m = rng.randint(1, min(n * (n - 1) // 2, cap))
     g = random_graph(n, m, seed=rng.randint(0, 10 ** 9))
     funcs = [random_regular_function(rng, q, g.degree(v)) for v in range(g.n)]
+    return HolantInstance(g, q, funcs)
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+VALUES = st.one_of(
+    st.just(0),
+    SMALL_FRACTIONS,
+    st.builds(GaussianRational, SMALL_FRACTIONS, SMALL_FRACTIONS),
+)
+
+
+@st.composite
+def differential_instances(draw, kinds=("base", "zero_heavy", "table")):
+    """A ``random_instance`` with some functions swapped for others of ``kinds``.
+
+    Zero-heavy functions exercise the dead-state rule of the simple DP, the
+    zero-pair skip of the FPT solver and the dead ends of the completion
+    search; explicit tables bring in negative and non-real Gaussian-rational
+    values.
+    """
+    base = random_instance(random.Random(draw(st.integers(0, 2 ** 32 - 1))), max_n=6, max_edges=7)
+    q, g = base.q, base.graph
+    funcs = list(base.functions)
+    for v in range(g.n):
+        d = g.degree(v)
+        kind = draw(st.sampled_from(list(kinds)))
+        if kind == "zero_heavy" and q == 2:
+            funcs[v] = builtin(draw(st.sampled_from(["at_most_one", "exact_one"])), 2, d)
+        elif kind == "zero_heavy":
+            weights = draw(st.lists(st.sampled_from([0, 0, 1, Fraction(2, 3)]), min_size=q, max_size=q))
+            funcs[v] = builtin("equality", q, d, weights=weights)
+        elif kind == "table":
+            size = composition_count(q, d)
+            funcs[v] = builtin("explicit_table", q, d,
+                               values=draw(st.lists(VALUES, min_size=size, max_size=size)))
     return HolantInstance(g, q, funcs)
 
 

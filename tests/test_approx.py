@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import differential_instances, random_instance
 from holant import (
     FailedPreconditionError,
     HolantError,
@@ -26,8 +29,6 @@ from holant import (
     tractable_search,
 )
 from holant import approx
-from holant.approx import _complete_generic
-from holant.graphcore import incidence_base
 from holant.models import MODEL_KINDS, ModelSpec, build_model
 from holant.oracle import gibbs_oracle
 
@@ -36,14 +37,26 @@ def matchings(g):
     return build_model(ModelSpec("matchings", {}), g)
 
 
+def _model_params(kind, graph):
+    return {
+        "matchings": {},
+        "perfect_matchings": {},
+        "weighted_matchings": {"edge_weights": [Fraction(k + 1, 2) for k in range(graph.m)]},
+        "colorings": {"q": 5},
+        "potts": {"q": 3, "lambda": 2},
+        "subgraphs_world": {"lambda": Fraction(1, 2), "mu": Fraction(1, 3)},
+        "ising": {"beta": Fraction(1, 3), "B": Fraction(1, 4)},
+    }[kind]
+
+
 # ---------------------------------------------------------------------------
 # tractable search
 
 def test_search_potts_always_extends():
     # every spin assignment is feasible for Potts, so every partial that is a
     # restriction of one extends; half-edge conflicts at a vertex do not
-    inst = build_model(ModelSpec("potts", {"q": 3, "lambda": 2}), cycle_graph(4))
-    base = incidence_base(inst.graph)
+    base = cycle_graph(4)
+    inst = build_model(ModelSpec("potts", {"q": 3, "lambda": 2}), base)
     rng = random.Random(0)
     for _ in range(10):
         spins = [rng.randrange(3) for _ in range(base.n)]
@@ -96,11 +109,11 @@ def test_search_matchings():
 
 
 def test_search_colorings_greedy():
-    inst = build_model(ModelSpec("colorings", {"q": 3}), cycle_graph(4))
+    base = cycle_graph(4)
+    inst = build_model(ModelSpec("colorings", {"q": 3}), base)
     out = tractable_search(inst, {})
     assert out is not None
     # decode spins from half-edges and check properness
-    base = incidence_base(inst.graph)
     for u, v in base.edges:
         eu = inst.graph.incident[u]
         ev = inst.graph.incident[v]
@@ -110,25 +123,55 @@ def test_search_colorings_greedy():
         assert shared_u != shared_v
 
 
-def test_search_model_completions_are_the_smallest_feasible_extension():
-    # the generic search is the greedy lexicographically smallest feasible
-    # extension, computed from the tables alone; every direct completion must
-    # find the same one (or None with it)
-    rng = random.Random(5)
-    for g in (path_graph(3), cycle_graph(3), cycle_graph(4)):
-        specs = (
-            ModelSpec("matchings", {}),
-            ModelSpec("weighted_matchings", {"edge_weights": [Fraction(k + 1, 2) for k in range(g.m)]}),
-            ModelSpec("subgraphs_world", {"lambda": Fraction(1, 2), "mu": Fraction(1, 3)}),
-            ModelSpec("ising", {"beta": Fraction(1, 3), "B": Fraction(1, 4)}),
-            ModelSpec("potts", {"q": 3, "lambda": 2}),
-        )
-        for spec in specs:
-            inst = build_model(spec, g)
-            for _ in range(19):
-                edges = rng.sample(range(inst.graph.m), rng.randint(0, min(3, inst.graph.m)))
-                partial = {e: rng.randrange(inst.q) for e in edges}
-                assert tractable_search(inst, partial) == _complete_generic(inst, partial), (spec.kind, partial)
+def _smallest_feasible_extension(inst, partial):
+    """The reference: the first configuration in lexicographic edge-id order
+    that extends ``partial`` with nonzero weight, or None."""
+    for config in itertools.product(range(inst.q), repeat=inst.graph.m):
+        if all(config[e] == val for e, val in partial.items()) and inst.weight(config):
+            return dict(enumerate(config))
+    return None
+
+
+@st.composite
+def search_cases(draw):
+    """An instance with nonnegative values and a partial configuration of it:
+    a small model of any kind, or a random instance, zero-heavy or not."""
+    if draw(st.booleans()):
+        inst = draw(differential_instances(kinds=("base", "zero_heavy")))
+    else:
+        kind = draw(st.sampled_from(MODEL_KINDS))
+        graph = draw(st.sampled_from([path_graph(3), cycle_graph(3), cycle_graph(4)]))
+        params = {"q": 3} if kind == "colorings" else _model_params(kind, graph)
+        inst = build_model(ModelSpec(kind, params), graph)
+    edges = draw(st.lists(st.integers(0, inst.graph.m - 1), unique=True, max_size=3))
+    return inst, {e: draw(st.integers(0, inst.q - 1)) for e in edges}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(search_cases())
+def test_search_is_the_smallest_feasible_extension(case):
+    inst, partial = case
+    assert tractable_search(inst, partial) == _smallest_feasible_extension(inst, partial)
+
+
+def test_search_falls_back_to_checks_at_a_dead_end(monkeypatch):
+    # the walk colours a triangle's first two corners 0 and 1 and gives the
+    # third 0 from its first edge alone, so the third corner's second
+    # half-edge has no value left; the positivity checks take over
+    fallbacks = []
+    checks = approx._complete_by_checks
+
+    def recording(instance, partial):
+        fallbacks.append(instance)
+        return checks(instance, partial)
+
+    monkeypatch.setattr(approx, "_complete_by_checks", recording)
+    triangle = build_model(ModelSpec("colorings", {"q": 3}), cycle_graph(3))
+    assert tractable_search(triangle, {}) == _smallest_feasible_extension(triangle, {})
+    prism = build_model(ModelSpec("colorings", {"q": 5}), prism_graph())
+    fill = tractable_search(prism, {})
+    assert prism.weight([fill[e] for e in range(prism.graph.m)])
+    assert fallbacks == [triangle, prism]
 
 
 @pytest.mark.parametrize("spec, graph, value", [
@@ -306,7 +349,8 @@ def test_fptas_step_records():
 ], ids=["grid3x3-matchings", "c6-perfect-matchings", "c4-potts"])
 def test_fptas_asks_each_completion_question_once(inst, monkeypatch):
     # the completion that shows the chosen value extends fills the next step's
-    # fringe: one question for the instance, then one per step
+    # fringe, and it is the smallest feasible extension of the pins; when a
+    # step chooses the value it already gives the edge, it is still the answer
     asked = []
     search = approx.tractable_search
 
@@ -317,7 +361,7 @@ def test_fptas_asks_each_completion_question_once(inst, monkeypatch):
     monkeypatch.setattr(approx, "tractable_search", recording)
     res = fptas_hol(inst, Fraction(1, 10))
     assert not res.flags
-    assert len(set(asked)) == len(asked) == inst.graph.m + 1
+    assert asked == [()]
 
 
 def _fptas_record(inst):
@@ -341,18 +385,6 @@ def test_fptas_golden_random_draws():
     for _ in range(100):
         h.update(_fptas_record(random_instance(rng)).encode())
     assert h.hexdigest() == "52cc45cff1169da772be1a1cab18ee811f03595a762c87b3b2e3247b6f54dc95"
-
-
-def _model_params(kind, graph):
-    return {
-        "matchings": {},
-        "perfect_matchings": {},
-        "weighted_matchings": {"edge_weights": [Fraction(k + 1, 2) for k in range(graph.m)]},
-        "colorings": {"q": 5},
-        "potts": {"q": 3, "lambda": 2},
-        "subgraphs_world": {"lambda": Fraction(1, 2), "mu": Fraction(1, 3)},
-        "ising": {"beta": Fraction(1, 3), "B": Fraction(1, 4)},
-    }[kind]
 
 
 def test_fptas_golden_model_instances():

@@ -125,8 +125,8 @@ def test_builtin_without_kind_exits_2(capsys):
 
 
 def test_incidence_model_line_on_a_graph_without_the_layout():
-    # a graph that does not follow the incidence layout is not an instance of
-    # the model its line names, so approx gets the generic completion
+    # a graph that does not follow the incidence layout: the model line is
+    # provenance only, and every command reads the tables
     text = model_text(["matchings", "--graph", "cycle:4"])
     text = text.replace("model matchings", "model subgraphs_world lambda=1/2 mu=1/3")
     for argv in (["exact"], ["decompose"]):
@@ -136,14 +136,24 @@ def test_incidence_model_line_on_a_graph_without_the_layout():
 
 
 def test_model_line_that_does_not_match_the_tables():
-    # perfect matchings of C4 under a matchings line: the matchings completion
-    # (no edge selected) has weight zero here, so only the tables may decide
+    # perfect matchings of C4 under a matchings line: no edge selected, the
+    # matchings' smallest configuration, has weight zero here, so only the
+    # tables may decide
     text = model_text(["perfect_matchings", "--graph", "cycle:4"])
     text = text.replace("model perfect_matchings", "model matchings")
     code, out = run_cli(["exact"], stdin_text=text)
     assert code == EXIT_OK and "value: 2\n" in out
     code, out = run_cli(["approx", "--eps", "1/10"], stdin_text=text)
     assert code == EXIT_OK and "approx: 2\n" in out
+
+
+def test_absurd_model_line_parameters_cost_nothing():
+    # no command builds the model its line names, so a beta whose weights
+    # would not fit in memory is only text
+    text = model_text(["potts", "--graph", "cycle:3", "--q", "3", "--beta", "1/5"])
+    text = text.replace("model potts beta=1/5 q=3", "model potts q=3 beta=100000000000 precision=3")
+    code, out = run_cli(["approx", "--eps", "1/10"], stdin_text=text)
+    assert code == EXIT_OK and "approx: " in out
 
 
 def test_files_that_are_not_utf8_exit_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import SMALL_FRACTIONS, differential_instances, random_instance
 from holant import (
     BooleanSymmetricFunction,
     Graph,
@@ -34,8 +34,7 @@ from holant import exact
 from holant.exact import FptSolver, auto_hol, edge_numerators, instance_decomposition
 from holant.models import ModelSpec, build_model
 from holant.oracle import literal_recursion_hol
-from holant.symfun import SymmetricFunction, composition_count, compositions
-from holant.values import GaussianRational
+from holant.symfun import SymmetricFunction, compositions
 
 
 def matchings_instance(g):
@@ -121,39 +120,9 @@ def test_simple_dp_deep_path_needs_no_recursion():
 
 
 # Differential property test: the three exact solvers and the literal
-# recursion on random instances.  Zero-heavy functions exercise the dead-state
-# rule of the simple DP and the zero-pair skip of the FPT solver; explicit
-# tables bring in non-real Gaussian-rational values.
+# recursion on random instances (``conftest.differential_instances``).
 
 DIFFERENTIAL = settings(derandomize=True, max_examples=100, deadline=None, database=None)
-SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-VALUES = st.one_of(
-    st.just(0),
-    SMALL_FRACTIONS,
-    st.builds(GaussianRational, SMALL_FRACTIONS, SMALL_FRACTIONS),
-)
-
-
-@st.composite
-def differential_instances(draw):
-    base = random_instance(random.Random(draw(st.integers(0, 2 ** 32 - 1))), max_n=6, max_edges=7)
-    q, g = base.q, base.graph
-    funcs = list(base.functions)
-    for v in range(g.n):
-        d = g.degree(v)
-        kind = draw(st.sampled_from(["base", "zero_heavy", "table"]))
-        if kind == "zero_heavy" and q == 2:
-            funcs[v] = builtin(draw(st.sampled_from(["at_most_one", "exact_one"])), 2, d)
-        elif kind == "zero_heavy":
-            weights = draw(st.lists(st.sampled_from([0, 0, 1, Fraction(2, 3)]), min_size=q, max_size=q))
-            funcs[v] = builtin("equality", q, d, weights=weights)
-        elif kind == "table":
-            size = composition_count(q, d)
-            funcs[v] = builtin("explicit_table", q, d,
-                               values=draw(st.lists(VALUES, min_size=size, max_size=size)))
-    return HolantInstance(g, q, funcs)
-
-
 @st.composite
 def model_instances(draw):
     """Potts models and colorings on small random graphs: every relabelling of
