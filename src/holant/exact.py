@@ -7,11 +7,12 @@ each, or a vector of k values.  The simple DP and ``edge_numerators``, the
 exact engine of the FPTAS balls, share its set-up: the vertices are relabelled
 in ``graphcore.frontier_order``, so a layer's size follows the graph's vertex
 separation, not its input labels, and states are lifted over the domain
-symmetry of the instance.  ``edge_numerators`` runs it once per ball with q
-weights: the value of the ball's edge lives in the weight vector, so one pass
-gives all q numerators.  The Z0 sub-DPs of the FPT solver run the sweep in
-their own order with one value per state.  No layer may hold more than
-``STATE_CAP`` states.
+symmetry of the instance.  ``edge_numerators`` runs it once per ball with one
+weight per block of the ball's domain symmetry: the value of the ball's edge
+lives in the weight vector, so one pass gives one numerator per block,
+expanded to the q numerators at the end.  The Z0 sub-DPs of the FPT solver
+run the sweep in their own order with one value per state.  No layer may hold
+more than ``STATE_CAP`` states.
 
 The FPT solver follows the three-way recursion over a separator decomposition:
 at a node with children U1, U2 and separator S, the value Z(U, {phi_v}) is a sum
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import product
+from itertools import combinations, product
 from typing import Mapping, Optional
 
 from .errors import InvalidArgumentError, ResourceExhaustedError
@@ -50,8 +51,6 @@ from .sepdecomp import SeparatorDecomposition, find_min_width, validate
 from .symfun import (
     BooleanSymmetricFunction,
     composition_count,
-    composition_index,
-    composition_of,
     compositions,
     pin,
     relabel,
@@ -156,23 +155,27 @@ def _sweep(q, layer, lower, lift=None):
     not yet eliminated; the function at vertex v must have arity v's degree
     less the edges already pinned into it.  ``layer`` maps each start state to
     its weight: one value, or a tuple of k values that are scaled and added
-    componentwise.  The forward sweep keeps one
-    layer: a dict from each state to the sum of the weights of the partial
-    assignments that reach it; regularity keeps layers small.  A successor is
-    dead, and dropped at once, when a newly pinned function is identically
-    zero.  Returns the weight of the empty state, or None when no state
-    survives.  No recursion depth grows with n.  A layer that would hold more
-    than ``STATE_CAP`` states raises ``ResourceExhaustedError``.
+    componentwise (``edge_numerators`` carries one per block).  The forward
+    sweep keeps one layer: a dict from each state to the sum of the weights of
+    the partial assignments that reach it; regularity keeps layers small.  The
+    moves of each distinct f_v are the assignments of v's lower edges whose
+    composition has a nonzero factor, so a hub expands only its live
+    compositions, not all q^d assignments.  A successor is dead, and dropped
+    at once, when a newly pinned function is identically zero.  Returns the
+    weight of the empty state, or None when no state survives.  No recursion
+    depth grows with n.  A layer that would hold more than ``STATE_CAP``
+    states raises ``ResourceExhaustedError``.
 
-    With ``lift = (blocks, originals)``, where every relabelling within
-    ``blocks`` fixes each of ``originals``, the functions the start states are
-    pinned from, each successor is replaced by its image under the relabelling
-    that sorts the values of each block by their profiles in the pinned
-    entries.  A state holds every remaining function and Z(F) = Z(sigma·F),
-    so the image has the remaining sum of the state, and symmetric states
-    merge.  Entries still equal to their original are fixed by every such
-    relabelling, so only the pinned ones are profiled and relabelled.  The
-    weights are never relabelled.
+    With ``lift = (groups, originals)``, where ``groups`` lists the values of
+    each block of more than one value (``_block_groups``) and every
+    relabelling within the blocks fixes each of ``originals``, the functions
+    the start states are pinned from, each successor is replaced by its image
+    under the relabelling that sorts the values of each block by their
+    profiles in the pinned entries.  A state holds every remaining function
+    and Z(F) = Z(sigma·F), so the image has the remaining sum of the state,
+    and symmetric states merge.  Entries still equal to their original are
+    fixed by every such relabelling, so only the pinned ones are profiled and
+    relabelled.  The weights are never relabelled.
     """
     if not layer:
         return None
@@ -183,11 +186,8 @@ def _sweep(q, layer, lower, lift=None):
     for v in range(n - 1, -1, -1):
         neighbors = lower[v]
         d = len(neighbors)
-        index = composition_index(q, d)
-        moves = []
-        for assign in product(range(q), repeat=d):
-            comp = composition_of(q, assign)
-            moves.append((index[comp], comp, tuple(zip(neighbors, [units[a] for a in assign]))))
+        comps = compositions(q, d)
+        spread = {}  # composition index -> the pins of each assignment with that composition
         live_moves = {}  # f_v -> its moves with a nonzero factor; None stands for ONE
         images = {}  # successor -> its lifted image; successors of one layer share a length
         nxt = {}
@@ -195,13 +195,17 @@ def _sweep(q, layer, lower, lift=None):
             fv = state[v]
             live = live_moves.get(fv)
             if live is None:
+                if fv.d != d:
+                    raise InvalidArgumentError(f"a function of arity {fv.d} meets {d} edges at sweep vertex {v}")
                 live = []
-                for i, comp, pins in moves:
-                    factor = fv.table[i] if fv.d == d else fv.value_at(comp)  # value_at raises
-                    if factor is ONE:
-                        live.append((None, pins))
-                    elif factor is not ZERO and factor:
-                        live.append((factor, pins))
+                for i, factor in enumerate(fv.table):
+                    if factor is ZERO or not factor:
+                        continue
+                    pins = spread.get(i)
+                    if pins is None:
+                        pins = spread[i] = _spread(neighbors, comps[i], units)
+                    factor = None if factor is ONE else factor
+                    live += [(factor, p) for p in pins]
                 live_moves[fv] = live
             head = state[:v]
             for factor, pins in live:
@@ -235,15 +239,38 @@ def _sweep(q, layer, lower, lift=None):
     return layer.get(())
 
 
+def _spread(neighbors, comp, units):
+    """The pins of each assignment of values to the edges to ``neighbors``
+    whose composition is ``comp``, once each."""
+    d = len(neighbors)
+    if d in comp:  # one value on every edge
+        unit = units[comp.index(d)]
+        return [tuple([(u, unit) for u in neighbors])]
+    rows = [[None] * d]
+    for a, k in enumerate(comp):
+        if not k:
+            continue
+        nxt = []
+        for row in rows:
+            for places in combinations([p for p, x in enumerate(row) if x is None], k):
+                new = row[:]
+                for p in places:
+                    new[p] = a
+                nxt.append(new)
+        rows = nxt
+    return [tuple(zip(neighbors, [units[a] for a in row])) for row in rows]
+
+
 def _vector_sum(a, b):
     """Componentwise a + b; the ZERO entries of unit vectors are skipped."""
     return tuple([y if x is ZERO else x if y is ZERO else x + y for x, y in zip(a, b)])
 
 
-def _lifted_state(state, blocks, originals):
-    """The image of ``state`` under the relabelling within ``blocks`` that
-    sorts each block's values by their profiles in the pinned entries."""
-    sigma = _sorting_sigma(blocks, [f for f, f0 in zip(state, originals) if f is not f0])
+def _lifted_state(state, groups, originals):
+    """The image of ``state`` under the relabelling within the blocks that
+    ``groups`` lists (``_block_groups``) that sorts each block's values by
+    their profiles in the pinned entries."""
+    sigma = _sorting_sigma(groups, [f for f, f0 in zip(state, originals) if f is not f0])
     if sigma is None:
         return state
     return tuple(f if f is f0 else relabel(f, sigma) for f, f0 in zip(state, originals))
@@ -299,20 +326,20 @@ def _predicted_layer(q, layout) -> int:
     return largest
 
 
-def _frontier_sweep(instance, layout, starts, lifted=True):
+def _frontier_sweep(instance, layout, starts, blocks):
     """The sweep of ``instance`` over ``layout`` from the given start states.
 
     Each start is (pins, weight): pins lists (vertex, unit composition) pairs
     pinned into the vertex's function before the sweep, and weight is the
     start state's weight.  Starts with an identically zero pinned function are
-    dropped, and starts that meet add their weight vectors.  With ``lifted``,
-    states are lifted over the relabellings of the domain that fix every
-    function of the instance (see ``_sweep``), start states included.
+    dropped, and starts that meet add their weight vectors.  Unless ``blocks``
+    is None, the sweep lifts its states over the relabellings within
+    ``blocks``, which must fix every function of the instance (see
+    ``_sweep``).
     """
     order, label, lower = layout
     originals = tuple(instance.functions[v] for v in reversed(order))
-    blocks = _refine((0,) * instance.q, dict.fromkeys(originals)) if lifted else None
-    lift = None if blocks is None else (blocks, originals)
+    lift = None if blocks is None else (_block_groups(blocks), originals)
     layer = {}
     for pins, weight in starts:
         state = list(originals)
@@ -320,10 +347,23 @@ def _frontier_sweep(instance, layout, starts, lifted=True):
             state[label[v]] = pin(state[label[v]], unit)
         if any(state[label[v]].is_zero_function() for v, _ in pins):
             continue
-        state = tuple(state) if lift is None else _lifted_state(tuple(state), *lift)
+        state = tuple(state)
         got = layer.get(state)
         layer[state] = weight if got is None else _vector_sum(got, weight)
     return _sweep(instance.q, layer, lower, lift)
+
+
+def _domain_blocks(instance):
+    """The blocks of domain values interchangeable for every function of
+    ``instance``, each labelled by its smallest value; None when all are
+    singletons."""
+    blocks = (0,) * instance.q
+    for f in dict.fromkeys(instance.functions):
+        first = {}
+        blocks = tuple(first.setdefault(pair, a) for a, pair in enumerate(zip(blocks, value_blocks(f))))
+        if len(first) == len(blocks):
+            return None
+    return blocks
 
 
 def simple_dp_hol(instance: HolantInstance) -> GaussianRational:
@@ -334,30 +374,38 @@ def simple_dp_hol(instance: HolantInstance) -> GaussianRational:
     ``ResourceExhaustedError``.
     """
     layout = _frontier_layout(instance.graph)
-    return _frontier_sweep(instance, layout, [((), ONE)]) or ZERO
+    return _frontier_sweep(instance, layout, [((), ONE)], _domain_blocks(instance)) or ZERO
 
 
 def edge_numerators(instance: HolantInstance, e: int) -> list[GaussianRational]:
     """The Holant of ``instance`` with edge e pinned to each value i, from one sweep.
 
-    The sweep runs on the graph without e, in ``frontier_order``.  It starts
-    from q states: state i has the functions at e's two endpoints pinned to
-    value i, and the unit vector at i as its weights.  The value of e thus
-    lives in the weights, not in the state, so states reached under different
-    values of e merge, and the final weights are the q numerators.  States are
-    lifted over the relabellings of the domain that fix every function of the
-    instance, start states included, so the start states of the values in one
-    block meet at once.
+    The sweep runs on the graph without e, in ``frontier_order``, with one
+    weight per block of the instance's domain symmetry (``_domain_blocks``;
+    one block per value when the group is trivial).  It starts from one state
+    per block: the functions at e's two endpoints pinned to the block's
+    smallest value, with the unit vector at the block as its weights.  The
+    value of e thus lives in the weights, not in the state, so states reached
+    under different values of e merge, and states are lifted over the
+    relabellings within the blocks.  Such a relabelling fixes every function
+    and maps e = i to e = j for any i, j of one block, so the numerator is
+    constant on each block: the final weights, one per block, are expanded to
+    the q numerators.
     """
     g = instance.graph
     q = instance.q
     if not 0 <= e < g.m:
         raise InvalidArgumentError(f"edge {e} out of range")
+    blocks = _domain_blocks(instance)
+    labels = range(q) if blocks is None else blocks
+    reps = sorted(set(labels))  # each block's label is its smallest value
     units = compositions(q, 1)[::-1]
-    starts = [([(v, units[i]) for v in g.endpoints(e)], tuple(ONE if j == i else ZERO for j in range(q)))
-              for i in range(q)]
-    z = _frontier_sweep(instance, _frontier_layout(g, skip=e), starts)
-    return [ZERO] * q if z is None else list(z)
+    starts = [([(v, units[b]) for v in g.endpoints(e)], tuple(ONE if y == x else ZERO for y in range(len(reps))))
+              for x, b in enumerate(reps)]
+    z = _frontier_sweep(instance, _frontier_layout(g, skip=e), starts, blocks)
+    if z is None:
+        return [ZERO] * q
+    return [z[reps.index(b)] for b in labels]
 
 
 def instance_vertex_costs(instance: HolantInstance) -> list[int]:
@@ -406,7 +454,7 @@ def auto_hol(instance: HolantInstance, lifted: bool = True) -> GaussianRational:
     if _predicted_layer(instance.q, layout) > STATE_CAP:
         decomp, _ = instance_decomposition(instance)
         return FptSolver(instance, decomp).holant()
-    return _frontier_sweep(instance, layout, [((), ONE)], lifted) or ZERO
+    return _frontier_sweep(instance, layout, [((), ONE)], _domain_blocks(instance) if lifted else None) or ZERO
 
 
 def hol_with_boundary(
@@ -467,34 +515,30 @@ class _NodeInfo:
         self.h0_order = h0_order
 
 
-def _refine(blocks, funcs):
-    """The blocks of values interchangeable within ``blocks`` and for every one
-    of ``funcs``, labelled by their smallest value; None when all are singletons."""
-    for f in funcs:
-        first = {}
-        blocks = tuple(first.setdefault(pair, a) for a, pair in enumerate(zip(blocks, value_blocks(f))))
-        if len(first) == len(blocks):
-            return None
-    return blocks
-
-
-def _sorting_sigma(blocks, funcs):
-    """A relabelling within ``blocks`` that orders each block's values by their
-    profiles in ``funcs``, ties by value; None when it is the identity."""
-    if not funcs:
-        return None
-    keys = list(zip(*(value_profiles(f) for f in funcs)))  # value -> its profile in each of funcs
+def _block_groups(blocks):
+    """The values of each block of ``blocks`` that holds more than one value."""
     members = {}
     for a, b in enumerate(blocks):
         members.setdefault(b, []).append(a)
-    sigma = list(range(len(blocks)))
-    for values in members.values():
-        if len(values) > 1:
-            for target, a in zip(values, sorted(values, key=keys.__getitem__)):
-                sigma[a] = target
-    if all(s == a for a, s in enumerate(sigma)):
+    return tuple(values for values in members.values() if len(values) > 1)
+
+
+def _sorting_sigma(groups, funcs):
+    """A relabelling within the blocks whose values ``groups`` lists that
+    orders each block's values by their profiles in ``funcs``, ties by value;
+    None when it is the identity."""
+    if not funcs:
         return None
-    return tuple(sigma)
+    keys = list(zip(*(value_profiles(f) for f in funcs)))  # value -> its profile in each of funcs
+    sigma = None
+    for values in groups:
+        ordered = sorted(values, key=keys.__getitem__)
+        if ordered != values:
+            if sigma is None:
+                sigma = list(range(len(keys)))
+            for target, a in zip(values, ordered):
+                sigma[a] = target
+    return None if sigma is None else tuple(sigma)
 
 
 class FptSolver:
@@ -529,7 +573,8 @@ class FptSolver:
         self._boundary = {}
         self._info = {}
         # computed here, not on first use, so that concurrent calls see one value
-        self._blocks = _refine((0,) * instance.q, dict.fromkeys(instance.functions))
+        blocks = _domain_blocks(instance)
+        self._groups = None if blocks is None else _block_groups(blocks)
         g = instance.graph
         for node in decomposition.nodes:
             self._boundary[node.id] = tuple(sorted(vertex_boundary(g, node.v_set)))
@@ -590,7 +635,7 @@ class FptSolver:
         if node.is_leaf():
             return ONE
         phi_uids = tuple(c.uid for c in phi)
-        if self._blocks is not None:
+        if self._groups is not None:
             phi, phi_uids = self._lift(phi, phi_uids)
         key = (node_id, phi_uids)
         got = self._memo.get(key)
@@ -611,7 +656,7 @@ class FptSolver:
         got = self._lifted.get(phi_uids)
         if got is None:
             image = phi, phi_uids
-            sigma = _sorting_sigma(self._blocks, phi)
+            sigma = _sorting_sigma(self._groups, phi)
             if sigma is not None:
                 phi = tuple(relabel(c, sigma) for c in phi)
                 image = phi, tuple(c.uid for c in phi)
@@ -638,7 +683,7 @@ class FptSolver:
         bd1_pos, bd2_pos = info.bd1_pos, info.bd2_pos
         z_memo = self._memo
         z0_memo = self._z0_memo
-        lifted = None if self._blocks is None else self._lifted
+        lifted = None if self._groups is None else self._lifted
         stats = self.stats
         total = ZERO
         for c1_joint in product(*outer):

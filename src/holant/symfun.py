@@ -8,9 +8,10 @@ value per weight-d composition, in lexicographic composition order.
 
 Functions are interned: constructing the same (q, d, table) twice yields the
 same object, with a process-stable ``uid`` usable as a memo key.  Each interned
-function carries the data derived from it, filled on first use: its pins, peer
-partitions, surviving peer-image pairs, worst pair count, interchangeable
-domain values, per-value profiles and relabelled images.  The two intern
+function carries the data derived from it, filled on first use: its pins, the
+pin that first gave it, peer partitions, surviving peer-image pairs, worst
+pair count, interchangeable domain values, per-value profiles and relabelled
+images.  The two intern
 registries are the only process-wide tables.
 """
 
@@ -80,8 +81,8 @@ _next_uid = itertools.count()
 class SymmetricFunction:
     """A symmetric function over [q] of arity d, stored as a composition-indexed table."""
 
-    __slots__ = ("q", "d", "table", "uid", "_is_zero", "_pins", "_peers", "_pairs", "_pair_count",
-                 "_blocks", "_profiles", "_images")
+    __slots__ = ("q", "d", "table", "uid", "_is_zero", "_pins", "_pinned_from", "_peers", "_pairs",
+                 "_pair_count", "_blocks", "_profiles", "_images")
 
     def __new__(cls, q: int, d: int, table):
         if q < 2:
@@ -105,6 +106,7 @@ class SymmetricFunction:
             self.uid = next(_next_uid)
             self._is_zero = not any(values)
             self._pins = {}  # kappa -> pin(self, kappa)
+            self._pinned_from = None  # (f, kappa) with pin(f, kappa) the first pin that gave self
             self._peers = {}  # k -> peer_partition(self, k)
             self._pairs = {}  # (d1, d2) -> survivor_pairs(self, d1, d2)
             self._pair_count = None
@@ -239,6 +241,8 @@ def pin(f: SymmetricFunction, kappa: Sequence[int]) -> SymmetricFunction:
         idx = composition_index(f.q, f.d)
         table = [f.table[idx[add_compositions(mu, kappa)]] for mu in compositions(f.q, f.d - k)]
         g = SymmetricFunction(f.q, f.d - k, table)
+        if g._pinned_from is None:
+            g._pinned_from = (f, kappa)
     f._pins[kappa] = g
     return g
 
@@ -360,22 +364,31 @@ def value_blocks(f: SymmetricFunction) -> tuple[int, ...]:
     return got
 
 
-def value_profiles(f) -> tuple:
-    """Per domain value a, a summary of f that every relabelling carries along.
+def value_profiles(f) -> tuple[int, ...]:
+    """Per domain value a, the rank of a summary of f that every relabelling
+    carries along.
 
-    For a SymmetricFunction the sorted (count of a, value) pairs of its nonzero
-    entries; for a BooleanSymmetricFunction the sorted counts of a over its
-    members.  The profile of sigma(a) in relabel(f, sigma) equals that of a in
-    f, so sorting values by profile picks a relabelling that orbits share.
+    The summary is, for a SymmetricFunction, the sorted (count of a, value)
+    pairs of its nonzero entries, and for a BooleanSymmetricFunction the
+    sorted counts of a over its members.  Its rank among f's distinct
+    summaries orders and equates values as the summary does, so comparing
+    ranks costs no comparison of exact values.  The profile of sigma(a) in
+    relabel(f, sigma) equals that of a in f, so sorting values by profile
+    picks a relabelling that orbits share.
     """
     got = f._profiles
     if got is None:
         if isinstance(f, BooleanSymmetricFunction):
-            got = tuple(tuple(sorted(m[a] for m in f.members)) for a in range(f.q))
+            summaries = [tuple(sorted(m[a] for m in f.members)) for a in range(f.q)]
         else:
-            entries = [(c, v.re, v.im) for c, v in zip(compositions(f.q, f.d), f.table) if v]
-            got = tuple(tuple(sorted((c[a], re, im) for c, re, im in entries)) for a in range(f.q))
-        f._profiles = got
+            # each nonzero entry's value stands in as its rank among the
+            # table's values, which orders and equates summaries alike
+            entries = sorted(((v.re, v.im), c) for c, v in zip(compositions(f.q, f.d), f.table) if v)
+            by_value = itertools.groupby(entries, key=lambda entry: entry[0])
+            ranked = [(r, c) for r, (_, group) in enumerate(by_value) for _, c in group]
+            summaries = [tuple(sorted((c[a], r) for r, c in ranked)) for a in range(f.q)]
+        rank = {s: r for r, s in enumerate(sorted(set(summaries)))}
+        got = f._profiles = tuple(rank[s] for s in summaries)
     return got
 
 
@@ -387,6 +400,13 @@ def relabel(f, sigma: tuple[int, ...]):
     The image is interned, so its uid is a valid memo key.  The Holant of an
     instance equals that of its image with every function relabelled by one
     sigma.
+
+    A pinned function's image comes from the pin cache where it can:
+    relabel(pin(h, kappa), sigma) = pin(relabel(h, sigma), sigma·kappa), and
+    relabel(h, sigma) is h when sigma moves values only within h's blocks
+    (``value_blocks``, where already known).  So the lineage of first pins
+    that gave f is climbed to the nearest such h; a table is relabelled only
+    when there is none.
     """
     images = f._images
     if images is None:
@@ -400,11 +420,27 @@ def relabel(f, sigma: tuple[int, ...]):
             inv[b] = a
         got = BooleanSymmetricFunction(f.q, f.k, (tuple(m[inv[b]] for b in range(f.q)) for m in f.members))
     else:
-        idx = composition_index(f.q, f.d)
-        got = SymmetricFunction(f.q, f.d, [f.table[idx[tuple(c[s] for s in sigma)]]
-                                           for c in compositions(f.q, f.d)])
+        h, kappa = f, (0,) * f.q
+        while not _fixed_by(h, sigma) and h._pinned_from is not None:
+            h, step = h._pinned_from
+            kappa = add_compositions(kappa, step)
+        if _fixed_by(h, sigma):
+            moved = [0] * f.q
+            for a, b in enumerate(sigma):
+                moved[b] = kappa[a]
+            got = pin(h, moved)
+        else:
+            idx = composition_index(f.q, f.d)
+            got = SymmetricFunction(f.q, f.d, [f.table[idx[tuple(c[s] for s in sigma)]]
+                                               for c in compositions(f.q, f.d)])
     images[sigma] = got
     return got
+
+
+def _fixed_by(f, sigma):
+    """Whether sigma is known to fix f: it moves values only within f's blocks."""
+    blocks = f._blocks
+    return blocks is not None and all(blocks[b] == blocks[a] for a, b in enumerate(sigma))
 
 
 def evaluate_by_peers(f: SymmetricFunction, reps: Sequence[Sequence[int]]) -> GaussianRational:

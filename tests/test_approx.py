@@ -464,12 +464,77 @@ def test_fptas_cli_batch_witness_whole_graph_is_exact():
     assert dist == [1, 0] and report.radii == (1, 2, 4) and report.stabilized
 
 
+# Two more random instances of the cli-batch bench.  Seed 9302, repetition 7,
+# instance 66: edge 0 is estimated at [1, 0, 0] with zero gaps at r = 1, 2 and 4
+# (true marginal [40/3979, 51/3979, 3888/3979]), so the certified value is 80/9
+# where the Holant is 7958/9.
+CLI_BATCH_SEED_9302_TEXT = """holant 1
+q 3
+vertices 8
+edge 1 3
+edge 0 7
+edge 5 7
+edge 1 6
+edge 3 5
+edge 2 4
+edge 0 2
+function 0 table 2 0 1/3 0 0 3
+function 1 table 1 3/2 1 0 1/2 1
+function 2 table 3/2 0 3 0 0 2/3
+function 3 table 2 0 1/3 0 0 1/3
+function 4 table 3 1 4
+function 5 table 3 0 2 0 0 4
+function 6 table 1 2 3/2
+function 7 table 4 0 4 0 0 1/3
+"""
+
+# Seed 5008, repetition 17, instance 98: edge 0 is estimated at [1/2, 1/2] with
+# zero gaps at r = 1, 2 and 4 (true marginal [2/3, 1/3]), so the certified
+# value is 8 where the Holant is 6.
+CLI_BATCH_SEED_5008_TEXT = """holant 1
+q 2
+vertices 8
+edge 1 4
+edge 0 3
+edge 4 6
+edge 3 5
+edge 6 7
+edge 2 5
+edge 0 6
+function 0 table 0 1 0
+function 1 table 4/3 4/3
+function 2 table 3/2 1
+function 3 table 0 1 0
+function 4 table 0 1 1
+function 5 table 0 1 0
+function 6 table 0 0 1 0
+function 7 table 1/3 1
+"""
+
+
+@pytest.mark.parametrize("text, exact, estimate, marginal", [
+    (CLI_BATCH_SEED_9302_TEXT, Fraction(7958, 9), [1, 0, 0],
+     [Fraction(40, 3979), Fraction(51, 3979), Fraction(3888, 3979)]),
+    (CLI_BATCH_SEED_5008_TEXT, 6, [Fraction(1, 2), Fraction(1, 2)], [Fraction(2, 3), Fraction(1, 3)]),
+], ids=["seed_9302", "seed_5008"])
+def test_fptas_cli_batch_witnesses_whole_graph_are_exact(text, exact, estimate, marginal):
+    inst = parse_instance(text)
+    q, m = inst.q, inst.graph.m
+    assert brute_force_hol(inst).as_fraction() == exact
+    assert fptas_hol(inst, Fraction(1, 10), RadiusPolicy.whole_graph()).value.as_fraction() == exact
+    assert gibbs_oracle(inst).marginal(0) == marginal
+    dist, report = marginal_distribution(inst, 0, {}, RadiusPolicy.adaptive(Fraction(1, 8 * q * m * 10)))
+    assert dist == estimate and report.radii == (1, 2, 4) and report.stabilized
+
+
 @pytest.mark.xfail(strict=True, reason="stabilization is tested against one boundary fill only; the fill "
                                        "passes along a path of binary (dis)equalities without decay")
 @pytest.mark.parametrize("text, exact", [
     (EQUALITY_PATH_TEXT, Fraction(341, 4)),
     (CLI_BATCH_WITNESS_TEXT, Fraction(9, 2)),
-], ids=["equality_path", "cli_batch_witness"])
+    (CLI_BATCH_SEED_9302_TEXT, Fraction(7958, 9)),
+    (CLI_BATCH_SEED_5008_TEXT, Fraction(6)),
+], ids=["equality_path", "cli_batch_witness", "cli_batch_seed_9302", "cli_batch_seed_5008"])
 def test_fptas_certified_result_is_within_eps_on_equality_path(text, exact):
     result = fptas_hol(parse_instance(text), Fraction(1, 10))
     assert not result.certified or abs(result.value.as_fraction() / exact - 1) <= Fraction(1, 10)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -21,6 +22,7 @@ from holant import (
     cycle_graph,
     edge_ball,
     fpt_hol,
+    fptas_hol,
     from_boolean_weights,
     grid_graph,
     hol_with_boundary,
@@ -108,6 +110,29 @@ def test_simple_dp_equals_brute_on_random():
     for _ in range(30):
         inst = random_instance(rng, max_n=6, max_edges=8)
         assert simple_dp_hol(inst) == brute_force_hol(inst)
+
+
+def _star(leaves):
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def test_simple_dp_star_hub_expands_only_live_compositions():
+    # the hub meets all but one leaf at once; its moves are the assignments of
+    # the compositions with a nonzero factor, so 20 leaves give 21 matchings
+    # from 20 moves, not from 2^19 assignments
+    rng = random.Random(19)
+    for leaves in range(1, 7):
+        inst = matchings_instance(_star(leaves))
+        assert simple_dp_hol(inst) == leaves + 1 == brute_force_hol(inst)
+        g = _star(leaves)
+        funcs = [SymmetricFunction(3, g.degree(v), [rng.choice([0, 0, 1, 2, Fraction(1, 2)])
+                                                    for _ in compositions(3, g.degree(v))])
+                 for v in range(g.n)]
+        inst = HolantInstance(g, 3, funcs)
+        assert simple_dp_hol(inst) == brute_force_hol(inst)
+    start = time.perf_counter()
+    assert simple_dp_hol(matchings_instance(_star(20))) == 21
+    assert time.perf_counter() - start < 1
 
 
 def test_simple_dp_deep_path_needs_no_recursion():
@@ -285,6 +310,30 @@ def test_edge_numerators_equal_brute_force_on_balls(inst, data):
         pinned = restrict_instance(sub, {k: i}, [x for x in range(sub.graph.m) if x != k])
         want.append(pinned.scalar * brute_force_hol(pinned.as_instance()))
     assert edge_numerators(sub, k) == want
+
+
+def test_ball_sweeps_carry_one_weight_per_block(monkeypatch):
+    # a ball's sweep starts one state per block of its domain symmetry, so
+    # its weights have one entry per block: on the Potts q=10 prism, the balls
+    # whose fringe fill splits the values into {0} and {1..9} sweep 2 entries;
+    # on the matchings of the 3x5 grid, the balls with a trivial group sweep q
+    seen = []
+    sweep = exact._sweep
+
+    def recording(q, layer, lower, lift=None):
+        weight = next(iter(layer.values()), None)
+        if type(weight) is tuple:
+            groups = () if lift is None else lift[0]
+            assert len(weight) == q - sum(len(values) - 1 for values in groups)
+            seen.append((groups, len(weight)))
+        return sweep(q, layer, lower, lift)
+
+    monkeypatch.setattr(exact, "_sweep", recording)
+    fptas_hol(build_model(ModelSpec("potts", {"q": 10, "beta": Fraction(1, 5)}), prism_graph()), Fraction(1, 10))
+    assert ((list(range(1, 10)),), 2) in seen
+    seen.clear()
+    fptas_hol(build_model(ModelSpec("matchings", {}), grid_graph(3, 5)), Fraction(1, 10))
+    assert ((), 2) in seen
 
 
 def test_auto_hol_equals_fpt_solver_on_both_sides_of_the_cap():

@@ -408,6 +408,37 @@ def test_relabel_moves_values_and_carries_profiles():
         assert all(value_profiles(g)[sigma[a]] == value_profiles(f)[a] for a in range(q))
 
 
+def test_relabel_of_a_pinned_function_moves_every_value():
+    # relabel(pin(f, kappa), sigma) is read from f's pin cache when sigma
+    # moves values only within f's blocks; the pins are taken in two steps so
+    # the image climbs a lineage of two pins
+    rng = random.Random(29)
+    for _ in range(200):
+        q, d = rng.choice((2, 3, 4)), rng.randint(1, 4)
+        side = [rng.randrange(2) for _ in range(q)]
+        key = {c: tuple(tuple(sorted(c[a] for a in range(q) if side[a] == s)) for s in (0, 1))
+               for c in compositions(q, d)}
+        value = {k: rng.choice([0, 1, 2, Fraction(1, 3)]) for k in set(key.values())}
+        f = SymmetricFunction(q, d, [value[key[c]] for c in compositions(q, d)])
+        blocks = value_blocks(f)
+        sigma = list(range(q))
+        for b in set(blocks):
+            members = [a for a in range(q) if blocks[a] == b]
+            for a, target in zip(members, rng.sample(members, len(members))):
+                sigma[a] = target
+        sigma = tuple(sigma)
+        first = rng.choice(compositions(q, rng.randint(0, d)))
+        second = rng.choice(compositions(q, rng.randint(0, d - sum(first))))
+        g = pin(pin(f, first), second)
+        image = relabel(g, sigma)
+        moved = [0] * q
+        for a, b in enumerate(sigma):
+            moved[b] = first[a] + second[a]
+        assert image is pin(f, moved)
+        for tup in itertools.product(range(q), repeat=g.d):
+            assert image.value_of_tuple([sigma[x] for x in tup]) == g.value_of_tuple(tup)
+
+
 def test_potts_edge_function_has_one_block():
     potts = builtin("explicit_table", 4, 2, values=[2 if max(c) == 2 else 1 for c in compositions(4, 2)])
     assert value_blocks(potts) == (0, 0, 0, 0)
