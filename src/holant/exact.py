@@ -28,6 +28,13 @@ pinned function vanishes are skipped.  The literal three-image enumeration, as
 the recursion is stated, lives in ``oracle.literal_recursion_hol`` as an
 independent cross-check.
 
+The solver's sums skip the Gaussian-rational type where they can: every memo
+entry and partial sum is an ``int`` when the value is a real integer, a
+``Fraction`` when it is real, and a ``GaussianRational`` only when its
+imaginary part is nonzero (``_narrow``).  ``holant`` converts once, at the
+end.  Each child-1 choice contributes z1 * sum(z0 * z2), so z1 multiplies
+once per choice, not once per term.
+
 The memo is lifted over the domain's symmetry.  A permutation sigma of [q]
 acts on a function by moving each value a to sigma(a), and relabelling every
 function of a Holant by one sigma leaves its value unchanged: Z(F) =
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import math
 import os
+from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Optional
 
@@ -59,7 +67,7 @@ from .symfun import (
     value_profiles,
     worst_pair_count,
 )
-from .values import ONE, ZERO, GaussianRational
+from .values import ONE, ZERO, GaussianRational, as_value
 
 DEFAULT_ENUM_CAP_BITS = 24
 ENUM_CAP_ENV = "HOLANT_ENUM_CAP"
@@ -499,20 +507,33 @@ class FptStats:
 
 
 class _NodeInfo:
-    __slots__ = ("core", "roles", "d1", "d2", "bd1_pos", "bd2_pos",
+    __slots__ = ("core", "roles", "d1", "d2", "bd_pos", "bd1_pos", "bd2_pos",
                  "h0_lower", "children", "h0_order")
 
-    def __init__(self, core, roles, d1, d2, bd1_pos, bd2_pos,
+    def __init__(self, core, roles, d1, d2, bd_pos, bd1_pos, bd2_pos,
                  h0_lower, children, h0_order):
         self.core = core
         self.roles = roles
         self.d1 = d1
         self.d2 = d2
+        self.bd_pos = bd_pos
         self.bd1_pos = bd1_pos
         self.bd2_pos = bd2_pos
         self.h0_lower = h0_lower
         self.children = children
         self.h0_order = h0_order
+
+
+def _narrow(x):
+    """``x`` as an int when it is a real integer, as a Fraction when it is
+    real, else as the GaussianRational itself."""
+    if type(x) is GaussianRational:
+        if x.im:
+            return x
+        x = x.re
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 def _block_groups(blocks):
@@ -567,9 +588,10 @@ class FptSolver:
         self.instance = instance
         self.dec = decomposition
         self.stats = FptStats()
-        self._memo = {}
-        self._z0_memo = {}
-        self._lifted = {}  # phi uids -> the canonical phi and its uids
+        self._memo = {}  # (node id, phi) -> Z(node, phi), phi canonical when lifted
+        self._z0_memo = {}  # node id -> {h's of the core -> Z0}
+        self._lifted = {}  # phi -> its canonical image
+        self._split = {}  # (g_v, d1, d2) -> its survivor pairs, split (``_pairs``)
         self._boundary = {}
         self._info = {}
         # computed here, not on first use, so that concurrent calls see one value
@@ -581,6 +603,7 @@ class FptSolver:
         for node in decomposition.nodes:
             if not node.is_leaf():
                 self._info[node.id] = self._build_info(node)
+                self._z0_memo[node.id] = {}
 
     def _build_info(self, node) -> _NodeInfo:
         g = self.instance.graph
@@ -619,105 +642,118 @@ class FptSolver:
         order = sorted(range(len(core)), key=lambda i: (-h0_deg[i], i))
         inv = {old: new for new, old in enumerate(order)}
         h0_lower = _lower_neighbors(len(core), [(inv[a], inv[b]) for a, b in h0_edges])
-        return _NodeInfo(core, roles, tuple(d1), tuple(d2),
+        # core position -> position of the vertex's constraint in phi (None on the separator)
+        bd_index = {v: i for i, v in enumerate(bd)}
+        bd_pos = tuple(None if roles[i] else bd_index[v] for i, v in enumerate(core))
+        return _NodeInfo(core, roles, tuple(d1), tuple(d2), bd_pos,
                          bd1_pos, bd2_pos, h0_lower, (j, k), tuple(order))
 
     # -- public -----------------------------------------------------------
 
     def holant(self) -> GaussianRational:
         """Z(V, {}) for the instance."""
-        return self._z(self.dec.root.id, ())
+        return as_value(self._z(self.dec.root.id, ()))
 
     # -- internals ----------------------------------------------------------
 
-    def _z(self, node_id, phi) -> GaussianRational:
-        node = self.dec.nodes[node_id]
-        if node.is_leaf():
-            return ONE
-        phi_uids = tuple(c.uid for c in phi)
+    def _z(self, node_id, phi):
+        """Z(node, phi) in its narrowest exact type (``_narrow``)."""
+        info = self._info.get(node_id)
+        if info is None:  # a leaf
+            return 1
         if self._groups is not None:
-            phi, phi_uids = self._lift(phi, phi_uids)
-        key = (node_id, phi_uids)
+            phi = self._lift(phi)
+        key = (node_id, phi)
         got = self._memo.get(key)
         if got is not None:
             return got
-        value = self._expand(node_id, phi)
+        value = _narrow(self._expand(node_id, info, phi))
         self._memo[key] = value
         self.stats.memo_entries += 1
         return value
 
-    def _lift(self, phi, phi_uids):
-        """The image of ``phi`` under a relabelling within the solver's blocks,
-        with its uids.
+    def _lift(self, phi):
+        """The image of ``phi`` under a relabelling within the solver's blocks.
 
         The relabelling fixes every function of the instance, so Z(node, phi)
         equals Z(node, image); symmetric images of one phi share an image.
         """
-        got = self._lifted.get(phi_uids)
+        got = self._lifted.get(phi)
         if got is None:
-            image = phi, phi_uids
             sigma = _sorting_sigma(self._groups, phi)
-            if sigma is not None:
-                phi = tuple(relabel(c, sigma) for c in phi)
-                image = phi, tuple(c.uid for c in phi)
-            got = self._lifted[phi_uids] = image
+            got = phi if sigma is None else tuple(relabel(c, sigma) for c in phi)
+            self._lifted[phi] = got
         return got
 
-    def _expand(self, node_id, phi) -> GaussianRational:
-        info = self._info[node_id]
+    def _pairs(self, gv, d1, d2):
+        """``survivor_pairs(gv, d1, d2)`` as (c1, its h's, its c2's) triples."""
+        key = (gv, d1, d2)
+        got = self._split.get(key)
+        if got is None:
+            got = self._split[key] = tuple(
+                (c1, tuple(h for _, h in inner), tuple(c2 for c2, _ in inner))
+                for c1, inner in survivor_pairs(gv, d1, d2))
+        return got
+
+    def _expand(self, node_id, info, phi):
+        """The sum over the node's terms, z1 * sum(z0 * z2) per child-1 choice.
+
+        A position whose vertex has no edge into a child has one peer class on
+        that side, so the product over the child-2 images of the boundary
+        positions runs in step with the product over all h's.
+        """
         j, k = info.children
-        bd_pos = {v: i for i, v in enumerate(self._boundary[node_id])}
 
         # per core vertex: g_v (f_v on the separator, the constraint on the
         # boundary) and its child-1 image choices, each with its surviving
         # child-2 images
         funcs = self.instance.functions
         outer = []
-        for i, v in enumerate(info.core):
-            gv = funcs[v] if info.roles[i] else phi[bd_pos[v]].to_function()
-            by_c1 = survivor_pairs(gv, info.d1[i], info.d2[i])
+        for v, p, d1, d2 in zip(info.core, info.bd_pos, info.d1, info.d2):
+            by_c1 = self._pairs(funcs[v] if p is None else phi[p].to_function(), d1, d2)
             if not by_c1:
-                return ZERO
+                return 0
             outer.append(by_c1)
 
         bd1_pos, bd2_pos = info.bd1_pos, info.bd2_pos
         z_memo = self._memo
-        z0_memo = self._z0_memo
-        lifted = None if self._groups is None else self._lifted
-        stats = self.stats
-        total = ZERO
+        z0_memo = self._z0_memo[node_id]
+        lifted = self._lifted if self._groups is not None else None
+        terms = 0
+        total = 0
         for c1_joint in product(*outer):
-            z1 = self._z(j, tuple(c1_joint[p][0] for p in bd1_pos))
+            z1 = self._z(j, tuple([c1_joint[p][0] for p in bd1_pos]))
             if not z1:
-                stats.terms += 1
+                terms += 1
                 continue
-            for c2_joint in product(*(c[1] for c in c1_joint)):
-                stats.terms += 1
-                h_key = (node_id,) + tuple(t[1].uid for t in c2_joint)
-                z0 = z0_memo.get(h_key)
+            inner = 0
+            h_choices = [c[1] for c in c1_joint]
+            c2_choices = [c1_joint[p][2] for p in bd2_pos]
+            for hs, phi2 in zip(product(*h_choices), product(*c2_choices)):
+                terms += 1
+                z0 = z0_memo.get(hs)
                 if z0 is None:
-                    z0 = self._hol0_compute(node_id, tuple(t[1] for t in c2_joint), h_key)
+                    z0 = self._hol0_compute(info, hs, z0_memo)
                 if not z0:
                     continue
-                key2 = tuple(c2_joint[p][0].uid for p in bd2_pos)
-                if lifted is not None:
-                    key2 = lifted.get(key2, (None, key2))[1]  # the memo holds canonical keys
+                key2 = phi2 if lifted is None else lifted.get(phi2, phi2)  # the memo holds canonical keys
                 z2 = z_memo.get((k, key2))
                 if z2 is None:
-                    z2 = self._z(k, tuple(c2_joint[p][0] for p in bd2_pos))
-                if not z2:
-                    continue
-                total = total + z0 * z1 * z2
+                    z2 = self._z(k, phi2)
+                if z2:
+                    inner += z0 * z2
+            if inner:
+                total += z1 * inner
+        self.stats.terms += terms
         return total
 
-    def _hol0_compute(self, node_id, h_funcs, key) -> GaussianRational:
-        info = self._info[node_id]
-        value = _sweep(
+    def _hol0_compute(self, info, h_funcs, z0_memo):
+        value = _narrow(_sweep(
             self.instance.q,
             {tuple([h_funcs[i] for i in info.h0_order]): ONE},
             info.h0_lower,
-        ) or ZERO
-        self._z0_memo[key] = value
+        ) or ZERO)
+        z0_memo[h_funcs] = value
         self.stats.z0_entries += 1
         return value
 

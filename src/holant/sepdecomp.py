@@ -10,8 +10,13 @@ Balanced separators are found the standard FPT way: enumerate the trace
 with a minimum X-Y vertex cut computed by unit-capacity max-flow on the
 vertex-split graph.  A trace can only be completed when no edge joins X_W and
 Y_W, so for each S_W only the balanced unions of components of G[W - S_W] are
-tried.  The residual flow network is built once per search; each trace runs
-max-flow on a fresh copy of its capacity array.  The search takes no options.
+tried.  Most of those fail, so for each S_W the search also runs one flow per
+pair of components, the first time a trace puts the pair on opposite sides,
+and skips without a flow of its own every trace that splits a pair no cut
+within the budget can part.  Such a trace would fail, so the first completed
+trace is the same as without the skip.  The residual flow network is built
+once per search; each flow runs on a fresh copy of its capacity array.  The
+search takes no options.
 
 Per-vertex costs act only in the recursive construction: a greedy local search
 after the cut drops separator vertices or swaps them for cheaper neighbors
@@ -231,23 +236,24 @@ def _component_split(graph: Graph, separator, w_set) -> Optional[BalancedSeparat
 
 
 def _balanced_splits(graph: Graph, rest, limit):
-    """The (X_W, Y_W) splits of ``rest`` with no X-Y edge and 3|X_W|, 3|Y_W| <= limit.
+    """The components of G[rest], and the (X_W, Y_W) splits of ``rest`` with no
+    X-Y edge and 3|X_W|, 3|Y_W| <= limit, each given as the positions of Y_W's
+    components in that list.
 
     No edge crosses exactly when Y_W is a union of components of G[rest]; X_W
-    keeps the anchor rest[0], so its component never joins Y_W.  Splits come in
-    ascending order of Y_W's bitmask over rest[1:].
+    keeps the anchor rest[0], so its component, the first, never joins Y_W.
+    Splits come in ascending order of Y_W's bitmask over rest[1:].
     """
+    comps = _components(graph, rest)
     bit = {v: 1 << i for i, v in enumerate(rest[1:])}
     y_max = limit // 3
     y_min = max(1, len(rest) - y_max)
-    choices = [(0, 0)]  # (Y_W bitmask, |Y_W|)
-    for comp in _components(graph, rest)[1:]:  # [0] holds the anchor, the smallest vertex
-        mask = sum(bit[v] for v in comp)
-        size = len(comp)
-        choices += [(m | mask, k + size) for m, k in choices if k + size <= y_max]
-    for mask in sorted(m for m, k in choices if k >= y_min):
-        y_w = frozenset(v for v in rest[1:] if bit[v] & mask)
-        yield frozenset(rest) - y_w, y_w
+    choices = [(0, 0, ())]  # (Y_W bitmask, |Y_W|, positions of Y_W's components)
+    for i in range(1, len(comps)):
+        mask = sum(bit[v] for v in comps[i])
+        size = len(comps[i])
+        choices += [(m | mask, k + size, ids + (i,)) for m, k, ids in choices if k + size <= y_max]
+    return comps, [ids for _, ids in sorted((m, ids) for m, k, ids in choices if k >= y_min)]
 
 
 def balanced_separator(graph: Graph, w_vertices, s_max: int) -> Optional[BalancedSeparator]:
@@ -258,8 +264,17 @@ def balanced_separator(graph: Graph, w_vertices, s_max: int) -> Optional[Balance
     minimum X-Y vertex cut; the first completed trace is returned.  Only traces
     with no X-Y edge can be completed, so for each S_W the candidates are the
     unions of components of G[W - S_W] that are balanced.  One residual flow
-    network serves the whole search; each candidate runs max-flow on a copy of
-    its capacities.
+    network serves the whole search; each flow runs on a copy of its
+    capacities.
+
+    Pair prune: for each S_W, the flow between two components C_i and C_j of
+    G[W - S_W] in G - S_W is run at most once, the first time a candidate puts
+    them on opposite sides.  An X-Y cut avoids X and Y and separates every
+    C_i in X from every C_j in Y, so a pair that no cut within the budget
+    separates rules out every candidate that splits it; such candidates are
+    skipped without a flow.  Only candidates that would fail are skipped, so
+    the search returns the same trace as without the prune.  With two
+    components the pair's flow is the candidate's own.
     """
     w_sorted = sorted(set(w_vertices))
     if len(w_sorted) < 2:
@@ -268,11 +283,28 @@ def balanced_separator(graph: Graph, w_vertices, s_max: int) -> Optional[Balance
     limit = 2 * total  # balance: 3|X|,3|Y| <= 2|W|
     network = _CutNetwork(graph)
     for s_size in range(min(s_max, total - 2) + 1):
+        budget = s_max - s_size
         for s_w in combinations(w_sorted, s_size):
             s_w_set = frozenset(s_w)
             rest = [v for v in w_sorted if v not in s_w_set]
-            for x_w, y_w in _balanced_splits(graph, rest, limit):
-                got = network.min_cut(s_w_set, x_w, y_w, s_max - s_size)
+            comps, splits = _balanced_splits(graph, rest, limit)
+            pair_cut = {}  # (i, j) -> min_cut between comps i and j, run on first use
+
+            def cut_apart(pair):
+                got = pair_cut.get(pair, False)
+                if got is False:
+                    got = pair_cut[pair] = network.min_cut(s_w_set, comps[pair[0]], comps[pair[1]], budget)
+                return got is not None
+
+            for y_ids in splits:
+                pairs = [(i, j) for i in range(len(comps)) if i not in y_ids for j in y_ids]
+                if any(pair_cut.get(pair, True) is None for pair in pairs):
+                    continue
+                if not all(cut_apart(pair) for pair in pairs):
+                    continue
+                y_w = frozenset().union(*(comps[j] for j in y_ids))
+                x_w = frozenset(rest) - y_w
+                got = pair_cut[pairs[0]] if len(comps) == 2 else network.min_cut(s_w_set, x_w, y_w, budget)
                 if got is None:
                     continue
                 cut, x_side = got

@@ -37,10 +37,24 @@ from holant.exact import FptSolver, auto_hol, edge_numerators, instance_decompos
 from holant.models import ModelSpec, build_model
 from holant.oracle import literal_recursion_hol
 from holant.symfun import SymmetricFunction, compositions
+from holant.values import GaussianRational
 
 
 def matchings_instance(g):
     return HolantInstance(g, 2, [builtin("at_most_one", 2, g.degree(v)) for v in range(g.n)])
+
+
+def gaussian_cycle_instance():
+    """A 4-cycle whose Holant has a nonzero imaginary part."""
+    g = cycle_graph(4)
+    i_val = GaussianRational(0, 1)
+    funcs = []
+    for v in range(4):
+        if v % 2:
+            funcs.append(from_boolean_weights([1, i_val, GaussianRational(Fraction(1, 2), Fraction(-1, 3))]))
+        else:
+            funcs.append(builtin("cyclic", 2, 2, c=2, values=[1, Fraction(2, 5)]))
+    return HolantInstance(g, 2, funcs)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +500,33 @@ def test_fpt_memo_keys_within_closure_bound():
         assert seen <= bound
 
 
+@pytest.mark.parametrize("make, real", [
+    (lambda: matchings_instance(grid_graph(3, 3)), True),
+    (lambda: build_model(ModelSpec("potts", {"q": 3, "beta": Fraction(1, 5)}), complete_graph(4)), True),
+    (gaussian_cycle_instance, False),
+], ids=["matchings-3x3", "potts3-k4", "gaussian-cycle"])
+def test_fpt_sums_keep_the_narrowest_type(make, real):
+    # memo entries are ints when they are real integers, Fractions when they
+    # are real, and GaussianRationals only with a nonzero imaginary part;
+    # holant() still returns a GaussianRational.  The Potts instance is on K4:
+    # brute force on the q=3 prism (18 edges) takes about 14 s
+    inst = make()
+    decomp, _ = instance_decomposition(inst)
+    solver = FptSolver(inst, decomp)
+    z = solver.holant()
+    assert type(z) is GaussianRational and z == brute_force_hol(inst)
+    assert (z.im == 0) == real
+    values = list(solver._memo.values()) + [v for memo in solver._z0_memo.values() for v in memo.values()]
+    for v in values:
+        assert type(v) in (int, Fraction, GaussianRational)
+        if type(v) is Fraction:
+            assert v.denominator != 1
+        if type(v) is GaussianRational:
+            assert not real and v.im != 0
+    if real:
+        assert not any(type(v) is GaussianRational for v in values)
+
+
 def test_fpt_rejects_invalid_decomposition():
     from holant.sepdecomp import DecompositionNode, SeparatorDecomposition
 
@@ -600,17 +641,7 @@ def test_fpt_vs_simple_dp_beyond_brute_force():
 
 
 def test_exact_solvers_handle_gaussian_rational_values():
-    from holant.values import GaussianRational
-
-    g = cycle_graph(4)
-    i_val = GaussianRational(0, 1)
-    funcs = []
-    for v in range(4):
-        if v % 2:
-            funcs.append(from_boolean_weights([1, i_val, GaussianRational(Fraction(1, 2), Fraction(-1, 3))]))
-        else:
-            funcs.append(builtin("cyclic", 2, 2, c=2, values=[1, Fraction(2, 5)]))
-    inst = HolantInstance(g, 2, funcs)
+    inst = gaussian_cycle_instance()
     z = brute_force_hol(inst)
     assert z.im != 0  # genuinely complex
     assert simple_dp_hol(inst) == z

@@ -23,7 +23,7 @@ from holant import (
 )
 from conftest import random_instance
 from holant.exact import instance_decomposition
-from holant.sepdecomp import DecompositionNode, SeparatorDecomposition
+from holant.sepdecomp import DecompositionNode, SeparatorDecomposition, _components, _CutNetwork
 
 
 def exhaustive_balanced_separator_exists(graph, w, size):
@@ -96,6 +96,41 @@ def reference_trace_search(graph, w, s_max):
                         y_side = frozenset(range(graph.n)) - separator - x_side
                         return separator, x_w, y_w, x_side, y_side
     return None
+
+
+def unpruned_balanced_separator(graph, w, s_max):
+    """The trace search without the pair prune: every balanced union of
+    components of G[W - S_W] runs its own flow, in the search order.
+
+    Returns (separator, x_w, y_w, x_side, y_side) of the first completed trace,
+    or None, and the most components any visited S_W left.
+    """
+    w_sorted = sorted(w)
+    total = len(w_sorted)
+    network = _CutNetwork(graph)
+    most = 0
+    for s_size in range(min(s_max, total - 2) + 1):
+        for s_w in itertools.combinations(w_sorted, s_size):
+            s_w_set = frozenset(s_w)
+            rest = [v for v in w_sorted if v not in s_w_set]
+            comps = _components(graph, rest)  # comps[0] holds rest[0], which stays in X_W
+            most = max(most, len(comps))
+            bit = {v: 1 << i for i, v in enumerate(rest[1:])}
+            splits = []
+            for r in range(1, len(comps)):
+                for ids in itertools.combinations(range(1, len(comps)), r):
+                    y_w = frozenset().union(*(comps[i] for i in ids))
+                    if 3 * len(y_w) <= 2 * total and 3 * (len(rest) - len(y_w)) <= 2 * total:
+                        splits.append((sum(bit[v] for v in y_w), y_w))
+            for _, y_w in sorted(splits):
+                x_w = frozenset(rest) - y_w
+                got = network.min_cut(s_w_set, x_w, y_w, s_max - s_size)
+                if got is not None:
+                    cut, x_side = got
+                    separator = s_w_set | cut
+                    y_side = frozenset(range(graph.n)) - separator - x_side
+                    return (separator, x_w, y_w, x_side, y_side), most
+    return None, most
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +228,28 @@ def test_separator_differential_against_exhaustive_search():
         assert not sep.x_side & sep.y_side and not sep.separator & (sep.x_side | sep.y_side)
         assert sep.x_side | sep.y_side | sep.separator == frozenset(range(n)), f"trial {trial}"
     assert 20 <= found <= 90  # both outcomes are exercised
+
+
+def test_pair_prune_returns_the_unpruned_trace():
+    # the pair prune skips only traces whose flow would fail, so the search
+    # returns what the unpruned loop returns; every draw leaves at least three
+    # components for some S_W, where pairs can rule out traces
+    rng = random.Random(2026)
+    draws = found = 0
+    while draws < 200:
+        n = rng.randint(8, 20)
+        g = random_graph(n, rng.randint(n // 2, 2 * n), seed=rng.randint(0, 10 ** 9))
+        w = frozenset(rng.sample(range(n), rng.randint(3, min(n, 10))))
+        s_max = rng.randint(0, 4)
+        want, most = unpruned_balanced_separator(g, w, s_max)
+        if most < 3:
+            continue
+        draws += 1
+        sep = balanced_separator(g, w, s_max)
+        got = sep and (sep.separator, sep.x_w, sep.y_w, sep.x_side, sep.y_side)
+        assert got == want, f"draw {draws}"
+        found += sep is not None
+    assert 20 <= found <= 180  # both outcomes are exercised
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +357,31 @@ def test_deep_split_base_size():
      "2d05397370792e694a8703edfed1beb8e41d0c880877c8651fd51fcad082995c"),
     ("potts", {"q": 10, "beta": Fraction(1, 5)}, prism_graph(), 2, 4, 25,
      "a6d86dffdb3f8164281ab8c20fd949d8d290def88de63f456152510178ddf613"),
-], ids=["grid6x6-matchings", "prism-potts"])
+    ("matchings", {}, grid_graph(8, 8), 2, 10, 97,
+     "63a9df5b7c1d1024abeba3feba55b5a3285da041187260b5ba36c917c0ef4220"),
+], ids=["grid6x6-matchings", "prism-potts", "grid8x8-matchings"])
 def test_instance_decomposition_golden(kind, params, graph, s_expected, width, nodes, digest):
     # pins the exact decomposition, so a faster separator search must find the
     # same separators in the same order
     decomp, s = instance_decomposition(build_model(ModelSpec(kind, params), graph))
     assert (s, decomp.width, len(decomp.nodes)) == (s_expected, width, nodes)
     assert hashlib.sha256(decomp.to_text().encode()).hexdigest() == digest
+
+
+def test_grid8x8_separator_search_skips_failing_flows(monkeypatch):
+    # the bench grid: the search without the pair prune ran 4,143 max-flows
+    # here, and all but 26 of them ended above the budget
+    calls = 0
+    min_cut = _CutNetwork.min_cut
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return min_cut(self, *args)
+
+    monkeypatch.setattr(_CutNetwork, "min_cut", counted)
+    instance_decomposition(build_model(ModelSpec("matchings", {}), grid_graph(8, 8)))
+    assert calls <= 2600
 
 
 def test_instance_decomposition_golden_random_draws():
