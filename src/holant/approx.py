@@ -1,19 +1,31 @@
 """Correlation-decay approximation: r-ball marginals and the self-reduction FPTAS.
 
-A conditional edge marginal is estimated from the r-ball around the edge: the
-fringe just outside the ball is fixed to a feasible fill obtained from a
-tractable-search completion, the ball is restricted once, and one exact sweep
-over it (``exact.edge_numerators``) gives the q numerators, whose ratios are
-the estimate.  The sweep carries the edge's value in a vector of weights, one
-weight per block of the ball's domain symmetry, expanded to q numerators at
-the end, and merges states equal up to a domain relabelling that fixes every
-function of the ball.  Under the adaptive policy the radius
+The FPTAS pins edges in id order, each to the value of largest conditional
+marginal, and divides the chosen configuration's weight by the product of the
+recorded probabilities.  Its marginals come from one of two routes.
+
+The edge-order table (``exact.EdgeOrderTable``) serves the adaptive policy,
+the default, whenever ``exact.edge_order_bound`` is at most ``STATE_CAP``.  At
+step k the pins are exactly the edges before k, so one table of backward sums
+over the edges in id order gives every step's exact marginal, q entries per
+step.  The result is then the exact Holant.  A table step is recorded as a
+whole-graph step: r_used = radii[0] = max(1, m), no gaps, full cover, not
+stabilized.  ``ApproxResult.table_states`` counts the table's states.
+
+The balls serve fixed radii, ``RadiusPolicy.whole_graph()`` and instances over
+the table's budget.  A conditional edge marginal is estimated from the r-ball
+around the edge: the fringe just outside the ball is fixed to a feasible fill
+obtained from a tractable-search completion, the ball is restricted once, and
+one exact sweep over it (``exact.edge_numerators``) gives the q numerators,
+whose ratios are the estimate.  The sweep carries the edge's value in a vector
+of weights, one weight per block of the ball's domain symmetry, expanded to q
+numerators at the end, and merges states equal up to a domain relabelling that
+fixes every function of the ball.  Under the adaptive policy the radius
 doubles until consecutive distributions agree within the stabilization
-tolerance.  The FPTAS pins edges one at a time at the argmax estimated value
-and divides the chosen configuration's weight by the product of the recorded
-conditional probabilities.  Every fringe fill is the smallest feasible
-extension of the pins so far (``tractable_search``), so a step whose chosen
-value is the fill's own asks no completion question at all.
+tolerance.  Every fringe fill is the smallest feasible extension of the pins
+so far (``tractable_search``), so a step whose chosen value is the fill's own
+asks no completion question at all.  The whole-graph balls are an independent
+reference for the table.
 """
 
 from __future__ import annotations
@@ -28,10 +40,11 @@ from .errors import (
     InfeasibleInstanceError,
     InvalidArgumentError,
 )
-from .exact import auto_hol, edge_numerators
+from . import exact
+from .exact import EdgeOrderTable, auto_hol, edge_numerators, edge_order_bound
 from .graphcore import HolantInstance, edge_ball, restrict_instance
 from .symfun import pin
-from .values import GaussianRational
+from .values import GaussianRational, format_value
 
 
 # ---------------------------------------------------------------------------
@@ -290,51 +303,40 @@ class ApproxResult:
     epsilon: Fraction
     steps: list = field(default_factory=list)
     flags: tuple = ()
+    table_states: Optional[int] = None  # the edge-order table's states; None when the balls ran
 
     def __repr__(self):
         tag = "certified" if self.certified else "non-certified"
         return f"ApproxResult({self.value}, {tag}, p_min={self.p_min})"
 
 
-def fptas_hol(
-    instance: HolantInstance,
-    eps,
-    policy: Optional[RadiusPolicy] = None,
-) -> ApproxResult:
-    """Approximate the Holant by telescoping estimated conditional marginals.
+def _table_steps(table, m):
+    """The walk of ``table`` by the FPTAS rule.  Every marginal is exact, so
+    the argmax value always extends and needs no completion question; each
+    step is recorded as a ``RadiusPolicy.whole_graph()`` step is."""
+    r = max(1, m)
+    steps = []
 
-    Edges are pinned in id order to the value with the largest estimated
-    marginal (ties to the smallest value) that the tractable search can
-    extend; the result is the pinned configuration's weight divided by the
-    product of recorded probabilities.  The completion found for the chosen
-    value fills the next step's fringe.  It is the smallest feasible
-    extension of the pins, so when a step chooses the value it already gives
-    the edge, it is still the answer and no question is asked.  Exact when
-    every step's radius covers the whole component.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidArgumentError("epsilon must be > 0")
-    if not _values_real_nonnegative(instance):
-        raise InvalidArgumentError("approximation needs nonnegative rational values")
-    g = instance.graph
-    q, m = instance.q, g.m
-    if policy is None:
-        policy = RadiusPolicy.adaptive()
-    if policy.mode == "adaptive" and policy.delta_stab is None:
-        policy = RadiusPolicy(
-            mode="adaptive",
-            delta_stab=eps / (8 * q * max(1, m)),
-        )
-    completion = tractable_search(instance, {})
-    if completion is None:
-        raise InfeasibleInstanceError("instance has no feasible configuration")
+    def choose(e, numerators):
+        # the marginals share the denominator sum(numerators) > 0, so the
+        # largest numerator is the largest marginal
+        chosen = min(range(len(numerators)), key=lambda i: (-numerators[i], i))
+        report = MarginalReport(r_used=r, radii=(r,), full_cover=True)
+        probability = Fraction(numerators[chosen]) / sum(numerators)
+        steps.append(StepRecord(edge=e, chosen=chosen, probability=probability, report=report))
+        return chosen
 
+    table.walk(choose)
+    return steps
+
+
+def _ball_steps(instance, policy, completion):
+    """The FPTAS steps from ball marginals under ``policy``, and their flags."""
+    q = instance.q
     pins: dict[int, int] = {}
     steps = []
     flags = []
-    p_min = Fraction(1)
-    for e in range(m):
+    for e in range(instance.graph.m):
         dist, report = marginal_distribution(instance, e, pins, policy, completion=completion)
         order = sorted(range(q), key=lambda i: (-dist[i], i))
         chosen = None
@@ -355,19 +357,69 @@ def fptas_hol(
         if chosen != order[0]:
             flags.append(f"edge {e}: argmax value {order[0]} infeasible, used {chosen}")
         pins[e] = chosen
-        p = dist[chosen]
-        p_min = min(p_min, p)
-        steps.append(StepRecord(edge=e, chosen=chosen, probability=p, report=report))
+        steps.append(StepRecord(edge=e, chosen=chosen, probability=dist[chosen], report=report))
+    return steps, flags
 
-    config = tuple(pins[e] for e in range(m))
-    weight = instance.weight(config)
+
+def fptas_hol(
+    instance: HolantInstance,
+    eps,
+    policy: Optional[RadiusPolicy] = None,
+) -> ApproxResult:
+    """Approximate the Holant by telescoping conditional marginals.
+
+    Edges are pinned in id order to the value with the largest marginal (ties
+    to the smallest value) that has a feasible extension; the result is the
+    pinned configuration's weight divided by the product of recorded
+    probabilities.
+
+    Under the adaptive policy, the default, an instance whose
+    ``edge_order_bound`` is at most ``STATE_CAP`` is walked on its
+    ``EdgeOrderTable``: every marginal is exact, so the result equals the
+    Holant and is certified, and after the first feasibility search no
+    completion question is asked.  Each step records what a
+    ``RadiusPolicy.whole_graph()`` step records (r_used = max(1, m), no gaps,
+    full cover), and ``table_states`` counts the table's states.
+
+    Fixed radii, ``whole_graph()`` and instances over the budget estimate
+    each marginal on a ball (``marginal_distribution``).  The completion
+    found for the chosen value fills the next step's fringe.  It is the
+    smallest feasible extension of the pins, so when a step chooses the
+    value it already gives the edge, it is still the answer and no question
+    is asked.  Exact when every step's radius covers the whole component.
+    """
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise InvalidArgumentError("epsilon must be > 0")
+    if not _values_real_nonnegative(instance):
+        raise InvalidArgumentError("approximation needs nonnegative rational values")
+    q, m = instance.q, instance.graph.m
+    if policy is None:
+        policy = RadiusPolicy.adaptive()
+    completion = tractable_search(instance, {})
+    if completion is None:
+        raise InfeasibleInstanceError("instance has no feasible configuration")
+
+    table = None
+    if policy.mode == "adaptive" and edge_order_bound(instance) <= exact.STATE_CAP:
+        table = EdgeOrderTable(instance)
+        steps, flags = _table_steps(table, m), []
+    else:
+        if policy.mode == "adaptive" and policy.delta_stab is None:
+            policy = RadiusPolicy(mode="adaptive", delta_stab=eps / (8 * q * max(1, m)))
+        steps, flags = _ball_steps(instance, policy, completion)
+
+    config = [0] * m
     denom = Fraction(1)
+    p_min = Fraction(1)
     for rec in steps:
+        config[rec.edge] = rec.chosen
         denom *= rec.probability
-    value = weight * (Fraction(1) / denom)
+        p_min = min(p_min, rec.probability)
+    value = instance.weight(config) * (Fraction(1) / denom)
     certified = all(rec.report.certified for rec in steps)
     if m and p_min < Fraction(1, 2 * q):
-        flags.append(f"p_min={p_min} fell below 1/(2q)")
+        flags.append(f"p_min={format_value(p_min)} fell below 1/(2q)")
     return ApproxResult(
         value=value,
         certified=certified,
@@ -375,4 +427,5 @@ def fptas_hol(
         epsilon=eps,
         steps=steps,
         flags=tuple(flags),
+        table_states=None if table is None else table.states,
     )

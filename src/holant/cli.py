@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 invalid input, 3 resource exhaustion.
 from __future__ import annotations
 
 import argparse
+import decimal
 import sys
 import time
 from fractions import Fraction
@@ -127,6 +128,16 @@ def _cmd_exact(args):
     return EXIT_OK
 
 
+def _twelve_digits(x: Fraction) -> str:
+    """x to 12 significant digits, as a float prints it where one can hold it."""
+    try:
+        return f"{float(x):.12g}"
+    except OverflowError:
+        with decimal.localcontext() as context:
+            context.prec = 12
+            return f"{decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator):.12g}"
+
+
 def _cmd_approx(args):
     instance = _read_instance(args.file)
     if args.radius == "adaptive":
@@ -141,9 +152,9 @@ def _cmd_approx(args):
     result = fptas_hol(instance, _rational(args.eps, "--eps"), policy)
     elapsed = time.perf_counter() - t0
     print(f"value: {format_value(result.value)}")
-    print(f"approx: {float(result.value.real):.12g}")
+    print(f"approx: {_twelve_digits(result.value.real)}")
     print(f"certified: {'yes' if result.certified else 'no'}")
-    print(f"p_min: {result.p_min}")
+    print(f"p_min: {format_value(result.p_min)}")
     print(f"time: {elapsed:.3f}s")
     for flag in result.flags:
         print(f"flag: {flag}")
@@ -218,35 +229,31 @@ def _cmd_oracle(args):
             cond[_integer(e, "--cond")] = _integer(v, "--cond")
     dist = oracle.marginal(args.edge, cond)
     for i, p in enumerate(dist):
-        print(f"p[{i}] = {p}")
+        print(f"p[{i}] = {format_value(p)}")
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="holant",
-        description="Exact and approximate counting for Holant problems with regular symmetric functions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exact", help="compute the Holant exactly")
+def _exact_arguments(p):
     p.add_argument("--method", choices=["brute", "simple", "fpt"], default="fpt")
     p.add_argument("--sep-width", type=int, default=64, help="cap on the separator parameter s")
     p.add_argument("file", nargs="?", help="instance file (default: stdin)")
     p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("approx", help="approximate the Holant via correlation decay")
+
+def _approx_arguments(p):
     p.add_argument("--eps", required=True, help="relative error target (rational)")
     p.add_argument("--radius", default="adaptive", help="adaptive | fixed:<r> | whole")
     p.add_argument("file", nargs="?")
     p.set_defaults(func=_cmd_approx)
 
-    p = sub.add_parser("decompose", help="print the separator decomposition the FPT solver uses")
+
+def _decompose_arguments(p):
     p.add_argument("--sep-width", type=int, default=64)
     p.add_argument("file", nargs="?")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("gate", help="check a strong-spatial-mixing parameter gate")
+
+def _gate_arguments(p):
     p.add_argument("model", choices=["subgraphs_world", "ising", "potts", "colorings"])
     p.add_argument("--delta", type=int, required=True, help="maximum degree")
     p.add_argument("--q", type=int, default=None)
@@ -256,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="0", help="external field B (ising)")
     p.set_defaults(func=_cmd_gate)
 
-    p = sub.add_parser("model", help="build a model instance and write the instance file")
+
+def _model_arguments(p):
     p.add_argument("kind", choices=[
         "matchings", "perfect_matchings", "weighted_matchings",
         "colorings", "potts", "subgraphs_world", "ising",
@@ -271,18 +279,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_model)
 
-    p = sub.add_parser("oracle", help="exact Gibbs marginals by enumeration")
+
+def _oracle_arguments(p):
     p.add_argument("--edge", type=int, default=None)
     p.add_argument("--cond", default=None, help="comma-separated e=v pairs")
     p.add_argument("file", nargs="?")
     p.set_defaults(func=_cmd_oracle)
 
+
+_SUBCOMMANDS = (
+    ("exact", "compute the Holant exactly", _exact_arguments),
+    ("approx", "approximate the Holant via correlation decay", _approx_arguments),
+    ("decompose", "print the separator decomposition the FPT solver uses", _decompose_arguments),
+    ("gate", "check a strong-spatial-mixing parameter gate", _gate_arguments),
+    ("model", "build a model instance and write the instance file", _model_arguments),
+    ("oracle", "exact Gibbs marginals by enumeration", _oracle_arguments),
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a subcommand's name, it holds only that subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="holant",
+        description="Exact and approximate counting for Holant problems with regular symmetric functions.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in _SUBCOMMANDS:
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a request names its subcommand first, so only that parser is built; the
+    # full parser answers --help and reports a missing or unknown subcommand
+    named = bool(argv) and any(argv[0] == name for name, _, _ in _SUBCOMMANDS)
+    args = build_parser(argv[0] if named else None).parse_args(argv)
     try:
         return args.func(args)
     except ResourceExhaustedError as exc:

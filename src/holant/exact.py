@@ -14,6 +14,11 @@ expanded to the q numerators at the end.  The Z0 sub-DPs of the FPT solver
 run the sweep in their own order with one value per state.  No layer may hold
 more than ``STATE_CAP`` states.
 
+``EdgeOrderTable`` serves the FPTAS walk: backward sums over the edges in id
+order, over frontier states lifted as the sweep's are, so that every step's
+exact conditional marginal is q reads.  ``edge_order_bound`` bounds its states
+before it is built.
+
 The FPT solver follows the three-way recursion over a separator decomposition:
 at a node with children U1, U2 and separator S, the value Z(U, {phi_v}) is a sum
 over joint choices of peer images (one per core vertex per side) of
@@ -414,6 +419,187 @@ def edge_numerators(instance: HolantInstance, e: int) -> list[GaussianRational]:
     if z is None:
         return [ZERO] * q
     return [z[reps.index(b)] for b in labels]
+
+
+# ---------------------------------------------------------------------------
+# the edge-order table: every conditional marginal of the FPTAS walk
+
+def _edge_order_layout(graph):
+    """Per edge k: the vertices open after edges < k are decided, in the
+    table's order, and how edge k moves them.
+
+    A vertex is open at level k when it has edges on both sides of k.  The
+    vertices open at level k + 1 are those of level k other than k's
+    endpoints, in their order, then each endpoint that still has an edge
+    after k.  Each step is (the endpoints, the position of each in the level
+    or None when k is its first edge, whether each stays open, the positions
+    the other open vertices keep, and the vertices open at level k + 1).
+    """
+    last = [-1] * graph.n
+    for k, (u, w) in enumerate(graph.edges):
+        last[u] = last[w] = k
+    opened = ()
+    steps = []
+    for k, (u, w) in enumerate(graph.edges):
+        pos = {v: p for p, v in enumerate(opened)}
+        stays = (last[u] > k, last[w] > k)
+        keep = tuple(p for p, v in enumerate(opened) if v != u and v != w)
+        opened = tuple(opened[p] for p in keep) + tuple(v for v, s in zip((u, w), stays) if s)
+        steps.append(((u, w), (pos.get(u), pos.get(w)), stays, keep, opened))
+    return steps
+
+
+def edge_order_bound(instance: HolantInstance) -> int:
+    """An upper bound on the states of ``EdgeOrderTable(instance)``.
+
+    It is the sum over the levels after each edge of the product, over the
+    vertices open at the level, of the number of distinct nonzero pins of f_v
+    by its decided edges: a state holds one such pin per open vertex.  The
+    distinct nonzero pins by k edges come from all compositions of k, or as
+    the nonzero pins by one edge of those by k - 1, whichever builds fewer
+    pins, so a hub never enumerates all its compositions.
+    """
+    q = instance.q
+    units = compositions(q, 1)
+    funcs = instance.functions
+    distinct = {}  # f -> its distinct nonzero pins by k edges, for k = 0, 1, ... as far as counted
+    decided = [0] * instance.graph.n
+    total = 0
+    for (u, w), _, _, _, opened in _edge_order_layout(instance.graph):
+        decided[u] += 1
+        decided[w] += 1
+        size = 1
+        for v in opened:
+            f, t = funcs[v], decided[v]
+            got = distinct.get(f)
+            if got is None:
+                got = distinct[f] = [{f}]
+            while len(got) <= t:
+                k = len(got)
+                if composition_count(q, k) <= q * len(got[-1]):
+                    found = (pin(f, c) for c in compositions(q, k))
+                else:
+                    found = (pin(g, unit) for g in got[-1] for unit in units)
+                got.append({h for h in found if not h.is_zero_function()})
+            size *= len(got[t])
+        total += size
+    return total
+
+
+def _edge_move(ends, stays, unit):
+    """The move of an edge between the functions ``ends`` to the value of
+    ``unit``: None when it kills the state, else (the factor of the endpoints
+    it closes, the pinned functions of those that stay open)."""
+    factor = 1
+    entries = []
+    for f, open_after in zip(ends, stays):
+        h = pin(f, unit)
+        if open_after:
+            if h.is_zero_function():
+                return None
+            entries.append(h)
+        else:
+            factor *= _narrow(h.table[0])
+            if not factor:
+                return None
+    return factor, entries
+
+
+class EdgeOrderTable:
+    """Backward sums over the edges in id order, one level per decided prefix.
+
+    Level k holds the states reachable once edges 0..k-1 have values: a state
+    is the tuple of the open vertices' functions pinned by their decided
+    edges (``_edge_order_layout``).  Deciding edge k = i pins its endpoints
+    by i; an endpoint whose last edge it is closes with that factor.  The
+    backward sums are B_m(()) = 1 and B_k(s) = sum_i factor_i * B_{k+1}(s + i),
+    so P(e_k = i | the values of edges < k) is proportional to factor_i *
+    B_{k+1}(s + i), for every k, from one table.  Sums keep the narrowest
+    exact type (``_narrow``).
+
+    States are lifted as the sweep's are: each successor is replaced by its
+    image under the relabelling within the blocks of ``_domain_blocks`` that
+    sorts the values of each block by their profiles (``_sorting_sigma``).
+    Such a relabelling fixes every function of the instance, so it keeps the
+    sum over the edges left.  A transition records the relabelling it
+    applied, and ``walk`` carries their composition, so it reads each level
+    in the values of the edges as decided.  The table is built by loops
+    over the levels; no recursion grows with m.
+    """
+
+    def __init__(self, instance: HolantInstance):
+        q = instance.q
+        funcs = instance.functions
+        blocks = _domain_blocks(instance)
+        groups = None if blocks is None else _block_groups(blocks)
+        units = compositions(q, 1)[::-1]  # units[a]: one argument set to a
+        self.q = q
+        rows = []  # per level k < m, per state: per value, (factor, successor, relabelling) or None
+        level = [()]
+        self.states = 0  # over the levels after each edge, as ``edge_order_bound`` counts
+        for (u, w), (pu, pw), stays, keep, _ in _edge_order_layout(instance.graph):
+            index = {}
+            images = {}
+            moves = {}  # (f_u, f_w) -> their move per value (``_edge_move``)
+            out = []
+            for state in level:
+                ends = (funcs[u] if pu is None else state[pu], funcs[w] if pw is None else state[pw])
+                here = moves.get(ends)
+                if here is None:
+                    here = moves[ends] = [_edge_move(ends, stays, unit) for unit in units]
+                kept = [state[p] for p in keep]
+                row = []
+                for move in here:
+                    if move is None:
+                        row.append(None)
+                        continue
+                    factor, entries = move
+                    succ = tuple(kept + entries)
+                    sigma = None
+                    if groups is not None:
+                        got = images.get(succ)
+                        if got is None:
+                            sigma = _sorting_sigma(groups, succ)
+                            got = images[succ] = (succ if sigma is None else tuple(relabel(f, sigma) for f in succ),
+                                                  sigma)
+                        succ, sigma = got
+                    j = index.get(succ)
+                    if j is None:
+                        j = index[succ] = len(index)
+                    row.append((factor, j, sigma))
+                out.append(row)
+            rows.append(out)
+            level = list(index)
+            self.states += len(level)
+        sums = [[1] * len(level)]  # level m holds the empty state, if any
+        for out in reversed(rows):
+            nxt = sums[-1]
+            sums.append([sum(nxt[j] if factor == 1 else factor * nxt[j] for factor, j, _ in filter(None, row))
+                         for row in out])
+        sums.reverse()
+        self._rows = rows
+        self._sums = sums
+
+    def walk(self, choose):
+        """Decide the edges in id order: ``choose(k, numerators)`` gets the q
+        values factor_i * B_{k+1}(s + i) at edge k, proportional to the
+        conditional marginals, and returns the value edge k takes."""
+        q = self.q
+        pi = tuple(range(q))  # the decided values of the state's labels
+        j = 0
+        for k, out in enumerate(self._rows):
+            row = out[j]
+            nxt = self._sums[k + 1]
+            numerators = [0] * q
+            for c, move in enumerate(row):
+                if move is not None:
+                    numerators[pi[c]] = move[0] * nxt[move[1]]
+            _, j, sigma = row[pi.index(choose(k, numerators))]
+            if sigma is not None:  # the state now names value a by sigma[a]
+                inverse = [0] * q
+                for a, b in enumerate(sigma):
+                    inverse[b] = a
+                pi = tuple(pi[inverse[a]] for a in range(q))
 
 
 def instance_vertex_costs(instance: HolantInstance) -> list[int]:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from .errors import InvalidArgumentError
 
 DEFAULT_GATE_PRECISION = 128
@@ -50,20 +48,27 @@ def _as_fraction(x, name):
         raise InvalidArgumentError(f"{name} must be rational, got {x!r}") from exc
 
 
-def _iv_fraction(f: Fraction):
-    return mpmath.iv.mpf(f.numerator) / mpmath.iv.mpf(f.denominator)
+def _iv_fraction(iv, f: Fraction):
+    return iv.mpf(f.numerator) / iv.mpf(f.denominator)
 
 
 class _precision:
+    """``mpmath.iv`` at the given precision.  mpmath is imported here, on
+    first use, since it is about a third of the time ``import holant`` takes."""
+
     def __init__(self, bits):
         self.bits = bits
 
     def __enter__(self):
-        self.saved = mpmath.iv.prec
-        mpmath.iv.prec = self.bits
+        import mpmath
+
+        self.iv = mpmath.iv
+        self.saved = self.iv.prec
+        self.iv.prec = self.bits
+        return self.iv
 
     def __exit__(self, *exc):
-        mpmath.iv.prec = self.saved
+        self.iv.prec = self.saved
 
 
 def gate_subgraphs_world(delta: int, lam, mu) -> SsmGateReport:
@@ -93,11 +98,11 @@ def gate_ising(delta: int, beta, field_b=0, precision: int = DEFAULT_GATE_PRECIS
     field_b = _as_fraction(field_b, "B")
     if beta <= 0:
         raise InvalidArgumentError("ising gate needs beta > 0 (ferromagnetic)")
-    with _precision(precision):
-        two_beta = _iv_fraction(2 * beta)
-        two_b = _iv_fraction(2 * field_b)
-        a = mpmath.iv.exp(two_beta)
-        b = mpmath.iv.exp(two_b)
+    with _precision(precision) as iv:
+        two_beta = _iv_fraction(iv, 2 * beta)
+        two_b = _iv_fraction(iv, 2 * field_b)
+        a = iv.exp(two_beta)
+        b = iv.exp(two_b)
         numerator = (a * b * b + a + 2 * b) ** 2
         denominator = b * (a + 1) ** 2 * (b + 1) ** 2
         threshold = numerator / denominator
@@ -155,12 +160,12 @@ def gate_potts(
     beta = _as_fraction(beta, "beta")
     if beta <= 0:
         raise InvalidArgumentError("potts gate is ferromagnetic: beta > 0")
-    with _precision(precision):
-        ratio = _iv_fraction(Fraction(q - 2, delta - 1))
-        threshold = mpmath.iv.log(ratio) / (delta + 1)
+    with _precision(precision) as iv:
+        ratio = _iv_fraction(iv, Fraction(q - 2, delta - 1))
+        threshold = iv.log(ratio) / (delta + 1)
         lo = float(threshold.a)
         hi = float(threshold.b)
-        satisfied = bool(_iv_fraction(beta) < threshold.a)
+        satisfied = bool(_iv_fraction(iv, beta) < threshold.a)
     return SsmGateReport(
         model="potts",
         parameters={"delta": delta, "q": q, "beta": beta},

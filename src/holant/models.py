@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from .errors import InvalidArgumentError
 from .graphcore import Graph, HolantInstance, incidence_transform, paired_incidence
 from .symfun import SymmetricFunction, builtin, compositions
@@ -46,6 +44,8 @@ class ModelSpec:
 
 def mpf_to_fraction(x) -> Fraction:
     """Exact Fraction of an mpmath float (every finite mpf is m * 2^e)."""
+    import mpmath
+
     sign, man, exp, _ = mpmath.mpf(x)._mpf_
     man = int(man)
     if sign:
@@ -55,19 +55,26 @@ def mpf_to_fraction(x) -> Fraction:
     return Fraction(man, 1 << -exp)
 
 
-def rational_tanh(x: Fraction, bits: int = DEFAULT_APPROXIMANT_BITS) -> Fraction:
+def _rational_of(name: str, x: Fraction, bits: int) -> Fraction:
+    """mpmath's ``name`` function at x, to ``bits`` bits, as an exact Fraction.
+    mpmath is imported here, on first use, since it is about a third of the
+    time ``import holant`` takes."""
+    import mpmath
+
     with mpmath.workprec(bits):
-        return mpf_to_fraction(mpmath.tanh(mpmath.mpf(x.numerator) / x.denominator))
+        return mpf_to_fraction(getattr(mpmath, name)(mpmath.mpf(x.numerator) / x.denominator))
+
+
+def rational_tanh(x: Fraction, bits: int = DEFAULT_APPROXIMANT_BITS) -> Fraction:
+    return _rational_of("tanh", x, bits)
 
 
 def rational_cosh(x: Fraction, bits: int = DEFAULT_APPROXIMANT_BITS) -> Fraction:
-    with mpmath.workprec(bits):
-        return mpf_to_fraction(mpmath.cosh(mpmath.mpf(x.numerator) / x.denominator))
+    return _rational_of("cosh", x, bits)
 
 
 def rational_exp(x: Fraction, bits: int = DEFAULT_APPROXIMANT_BITS) -> Fraction:
-    with mpmath.workprec(bits):
-        return mpf_to_fraction(mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))
+    return _rational_of("exp", x, bits)
 
 
 def _potts_edge_function(q, lam) -> SymmetricFunction:

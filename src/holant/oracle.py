@@ -11,8 +11,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Optional
 
-import mpmath
-
 from .errors import FailedPreconditionError, InvalidArgumentError, ResourceExhaustedError
 from .exact import brute_force_hol, enumeration_cap_bits
 from .graphcore import Graph, HolantInstance, vertex_boundary
@@ -184,6 +182,8 @@ def subgraphs_world_brute(graph: Graph, lam, mu) -> GaussianRational:
 
 def ising_partition_mpf(graph: Graph, beta, b_field, bits: int = 128):
     """Z_Ising over {-1,+1} spins, evaluated in mpmath floats at the given precision."""
+    import mpmath  # imported on use: it is about a third of the time ``import holant`` takes
+
     beta, b_field = Fraction(beta), Fraction(b_field)
     with mpmath.workprec(bits):
         bb = mpmath.mpf(beta.numerator) / beta.denominator

@@ -10,6 +10,7 @@ at whatever precision the caller chooses.
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
 
 from .errors import InvalidArgumentError
@@ -165,28 +166,71 @@ def as_value(x) -> GaussianRational:
 
 _RAT = r"-?\d+(?:/\d+)?"
 _VALUE_RE = _re.compile(rf"^({_RAT})(?:(?:\s*([+-])\s*|([+-]))(\d+(?:/\d+)?)i)?$")
+_LOG10_2 = 0.30103  # log10(2), rounded up
+
+
+# CPython refuses int <-> str conversions past sys.get_int_max_str_digits()
+# digits (4,300 by default).  An exact value can be longer, so the two
+# conversions below split a long number in halves until each part fits.
+
+def _int_of_digits(digits: str) -> int:
+    """int(digits) for an unsigned decimal digit string of any length."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or len(digits) <= limit:
+        return int(digits)
+    k = len(digits) // 2
+    return _int_of_digits(digits[:-k]) * 10 ** k + _int_of_digits(digits[-k:])
+
+
+def _digits_of_int(n: int) -> str:
+    """str(n) for an int of any length."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or n.bit_length() * _LOG10_2 < limit - 1:
+        return str(n)
+    if n < 0:
+        return "-" + _digits_of_int(-n)
+    k = int(n.bit_length() * _LOG10_2) // 2
+    high, low = divmod(n, 10 ** k)
+    return _digits_of_int(high) + _digits_of_int(low).zfill(k)
+
+
+def _parse_rational(text: str) -> Fraction:
+    sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
+    num, _, den = digits.partition("/")
+    value = Fraction(_int_of_digits(num), _int_of_digits(den) if den else 1)
+    return -value if sign else value
+
+
+def _format_rational(x: Fraction) -> str:
+    """str(x), at any length."""
+    if x.denominator == 1:
+        return _digits_of_int(x.numerator)
+    return f"{_digits_of_int(x.numerator)}/{_digits_of_int(x.denominator)}"
 
 
 def parse_value(token: str) -> GaussianRational:
-    """Parse ``a/b`` or ``a/b+c/di`` (also ``-``, integers, optional space before the sign)."""
+    """Parse ``a/b`` or ``a/b+c/di`` (also ``-``, integers, optional space
+    before the sign), with numbers of any length."""
     m = _VALUE_RE.match(token.strip())
     if m is None:
         raise InvalidArgumentError(f"malformed value {token!r}")
     try:
-        re_part = Fraction(m.group(1))
+        re_part = _parse_rational(m.group(1))
         if m.group(4) is None:
             return GaussianRational(re_part)
         sign = -1 if (m.group(2) or m.group(3)) == "-" else 1
-        return GaussianRational(re_part, sign * Fraction(m.group(4)))
+        return GaussianRational(re_part, sign * _parse_rational(m.group(4)))
     except ZeroDivisionError:
         raise InvalidArgumentError(f"zero denominator in value {token!r}") from None
 
 
-def format_value(v: GaussianRational) -> str:
-    """Canonical token form: no spaces, real part always present when imaginary is."""
-    re_s = str(v.re)
+def format_value(v) -> str:
+    """Canonical token form of a value, an int or a Fraction, with numbers of
+    any length: no spaces, real part always present when imaginary is."""
+    v = _coerce(v)
+    re_s = _format_rational(v.re)
     if not v.im:
         return re_s
     if v.im < 0:
-        return f"{re_s}-{-v.im}i"
-    return f"{re_s}+{v.im}i"
+        return f"{re_s}-{_format_rational(-v.im)}i"
+    return f"{re_s}+{_format_rational(v.im)}i"

@@ -8,7 +8,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from holant import GaussianRational, HolantInstance, builtin, random_graph
-from holant.symfun import composition_count
+from holant.models import ModelSpec, build_model
+from holant.symfun import composition_count, compositions
 
 
 def random_regular_function(rng, q, d):
@@ -89,6 +90,63 @@ def differential_instances(draw, kinds=("base", "zero_heavy", "table")):
             size = composition_count(q, d)
             funcs[v] = builtin("explicit_table", q, d,
                                values=draw(st.lists(VALUES, min_size=size, max_size=size)))
+    return HolantInstance(g, q, funcs)
+
+
+@st.composite
+def model_instances(draw):
+    """Potts models and colorings on small random graphs: every relabelling of
+    the domain fixes them, so the sweep lifts its states."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = rng.randint(2, 4)
+    g = random_graph(n, rng.randint(1, min(n * (n - 1) // 2, 3)), seed=rng.randint(0, 10 ** 9))
+    q = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        lam = draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+        return build_model(ModelSpec("potts", {"q": q, "lambda": lam}), g)
+    return build_model(ModelSpec("colorings", {"q": q}), g)
+
+
+def _symmetric_table(draw, q, d, partition):
+    """A table whose value depends only on the sorted counts within each block
+    of ``partition``: invariant under every relabelling inside the blocks."""
+    comps = compositions(q, d)
+    keys = [tuple(tuple(sorted(c[a] for a in block)) for block in partition) for c in comps]
+    distinct = sorted(set(keys))
+    values = draw(st.lists(st.one_of(st.just(0), SMALL_FRACTIONS), min_size=len(distinct),
+                           max_size=len(distinct)))
+    value_of = dict(zip(distinct, values))
+    return builtin("explicit_table", q, d, values=[value_of[k] for k in keys])
+
+
+@st.composite
+def domain_symmetric_instances(draw):
+    """Instances whose functions are all invariant under relabelling within the
+    blocks of one partition of the domain, drawn per instance."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    max_edges = {2: 10, 3: 9, 4: 7}[q]
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g = random_instance(rng, max_n=7, max_edges=max_edges, qs=(q,)).graph
+    k = draw(st.sampled_from([1, 2, q]))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=q, max_size=q))
+    partition = [tuple(a for a in range(q) if labels[a] == b) for b in sorted(set(labels))]
+    funcs = []
+    for v in range(g.n):
+        d = g.degree(v)
+        kind = draw(st.sampled_from(["potts", "colorings", "sorted", "blocks", "constant", "equality"]))
+        if kind in ("potts", "colorings"):
+            same = 0 if kind == "colorings" else draw(SMALL_FRACTIONS)
+            other = 1 if kind == "colorings" else draw(SMALL_FRACTIONS)
+            funcs.append(builtin("explicit_table", q, d,
+                                 values=[same if max(c) == d else other for c in compositions(q, d)]))
+        elif kind in ("sorted", "blocks"):
+            funcs.append(_symmetric_table(draw, q, d, [tuple(range(q))] if kind == "sorted" else partition))
+        elif kind == "constant":
+            w = draw(SMALL_FRACTIONS)
+            funcs.append(builtin("cyclic", q, d, c=1, values=[w] if q == 2 else {(0,) * q: w}))
+        else:  # weights repeat within each block
+            block_weights = draw(st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2)]), min_size=k, max_size=k))
+            funcs.append(builtin("equality", q, d, weights=[block_weights[labels[a]] for a in range(q)]))
     return HolantInstance(g, q, funcs)
 
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import differential_instances, random_instance
+from conftest import differential_instances, domain_symmetric_instances, model_instances, random_instance
 from holant import (
     FailedPreconditionError,
+    Graph,
     HolantError,
     HolantInstance,
     InfeasibleInstanceError,
@@ -26,9 +27,10 @@ from holant import (
     path_graph,
     prism_graph,
     restrict_instance,
+    simple_dp_hol,
     tractable_search,
 )
-from holant import approx
+from holant import approx, exact
 from holant.models import MODEL_KINDS, ModelSpec, build_model
 from holant.oracle import gibbs_oracle
 
@@ -364,9 +366,9 @@ def test_fptas_asks_each_completion_question_once(inst, monkeypatch):
     assert asked == [()]
 
 
-def _fptas_record(inst):
+def _fptas_record(inst, policy=None):
     try:
-        res = fptas_hol(inst, Fraction(1, 10))
+        res = fptas_hol(inst, Fraction(1, 10), policy)
     except HolantError as exc:
         return f"error {type(exc).__name__}\n"
     lines = [f"value {res.value} certified {res.certified} p_min {res.p_min} flags {res.flags}"]
@@ -377,25 +379,46 @@ def _fptas_record(inst):
 
 
 def test_fptas_golden_random_draws():
-    # one digest over the adaptive FPTAS result and every step record of 100
-    # seeded random instances, so a change to the search or the fringe fill
-    # must leave every value, radius and gap as it was
+    # one digest over the default FPTAS result and every step record of 100
+    # seeded random instances; every feasible one is walked on the edge-order
+    # table, so each record is the instance's whole-graph record
     rng = random.Random(9)
     h = hashlib.sha256()
     for _ in range(100):
         h.update(_fptas_record(random_instance(rng)).encode())
-    assert h.hexdigest() == "52cc45cff1169da772be1a1cab18ee811f03595a762c87b3b2e3247b6f54dc95"
+    assert h.hexdigest() == "c1b16b68eda635451db7f9c6891cb71d7950205c18a0988e7f85f8b5aa0750f8"
 
 
 def test_fptas_golden_model_instances():
-    # one digest over the adaptive FPTAS records of every model kind on four
-    # graphs, so the completion that fills each ball's fringe must leave every
-    # value, radius and gap of the model-built instances as it was
+    # one digest over the default FPTAS records of every model kind on four
+    # graphs; every feasible one is walked on the edge-order table, so each
+    # record is the instance's whole-graph record
     h = hashlib.sha256()
     for graph in (path_graph(4), cycle_graph(6), prism_graph(), grid_graph(3, 3)):
         for kind in MODEL_KINDS:
             h.update(_fptas_record(build_model(ModelSpec(kind, _model_params(kind, graph)), graph)).encode())
-    assert h.hexdigest() == "7d79865ea20e13e1a81a5147547eb4c1a21bdb2e03f0354b2a346be78f481e6b"
+    assert h.hexdigest() == "3eb1007f330e07ee523aff01acb055d474ef8fb2f4756a4e836a236c8e324c66"
+
+
+def _ball_record(inst):
+    """The fixed-radius-2 FPTAS record and edge 0's adaptive ball marginal."""
+    lines = [_fptas_record(inst, RadiusPolicy.fixed(2))]
+    try:
+        dist, r = marginal_distribution(inst, 0, {}, RadiusPolicy.adaptive(Fraction(1, 8 * inst.q * inst.graph.m * 10)))
+    except HolantError as exc:
+        return "".join(lines) + f"error {type(exc).__name__}\n"
+    return "".join(lines) + f"marginal {dist} {r.radii} {r.gaps} {r.stabilized} {r.full_cover}\n"
+
+
+def test_ball_route_golden_random_draws():
+    # the default walks the edge-order table on these draws, so this digest
+    # pins the balls instead: fringe fills, completions, radii, gaps and
+    # flags, as recorded before the table
+    rng = random.Random(9)
+    h = hashlib.sha256()
+    for _ in range(100):
+        h.update(_ball_record(random_instance(rng)).encode())
+    assert h.hexdigest() == "098abe5602d581f9e07ca61b27ad9fb6ecc2ba2c4ae3fc56cc9d777d5da66e37"
 
 
 # Weighted equality functions at vertices 0, 1 and 5 carry the fringe fill
@@ -527,14 +550,126 @@ def test_fptas_cli_batch_witnesses_whole_graph_are_exact(text, exact, estimate, 
     assert dist == estimate and report.radii == (1, 2, 4) and report.stabilized
 
 
-@pytest.mark.xfail(strict=True, reason="stabilization is tested against one boundary fill only; the fill "
-                                       "passes along a path of binary (dis)equalities without decay")
-@pytest.mark.parametrize("text, exact", [
+# Two more random instances of the cli-batch bench, each certified wrong by
+# the ball marginals.  Seed 20200, repetition 3, instance 6: edge 0 is
+# estimated at [1, 0] with zero gaps at r = 1, 2 and 4 (true marginal
+# [6/7, 1/7]), so the balls certify 9 where the Holant is 21/2.
+CLI_BATCH_SEED_20200_TEXT = """holant 1
+q 2
+vertices 8
+edge 0 5
+edge 0 4
+edge 1 7
+edge 3 7
+edge 5 6
+edge 1 2
+edge 3 6
+function 0 table 3/2 3/2 3/2
+function 1 table 1 0 3
+function 2 table 1 1/2
+function 3 table 0 1 0
+function 4 table 0 1
+function 5 table 1 0 4
+function 6 table 0 1 0
+function 7 table 1 0 1
+"""
+
+# Seed 20202, repetition 6, instance 21: edge 0 is estimated at [2/11, 8/11,
+# 1/11] with zero gaps at r = 1, 2 and 4 (true marginal [37/241, 120/241,
+# 84/241]), so the balls certify 110/3 where the Holant is 482/9.
+CLI_BATCH_SEED_20202_TEXT = """holant 1
+q 3
+vertices 8
+edge 3 6
+edge 0 2
+edge 4 6
+edge 1 7
+edge 0 1
+edge 1 4
+edge 2 5
+edge 2 7
+function 0 table 2 0 4/3 0 0 1
+function 1 table 2 0 0 2 0 0 0 0 0 2
+function 2 table 1 0 0 3/2 0 0 0 0 0 2/3
+function 3 table 1/2 1/2 1/2
+function 4 table 3 3 1/2 1/2 1 1
+function 5 table 4/3 4 2
+function 6 table 1/2 0 2 0 0 1/2
+function 7 table 1/3 0 4/3 0 0 4
+"""
+
+CERTIFICATION_WITNESSES = pytest.mark.parametrize("text, exact", [
     (EQUALITY_PATH_TEXT, Fraction(341, 4)),
     (CLI_BATCH_WITNESS_TEXT, Fraction(9, 2)),
     (CLI_BATCH_SEED_9302_TEXT, Fraction(7958, 9)),
     (CLI_BATCH_SEED_5008_TEXT, Fraction(6)),
-], ids=["equality_path", "cli_batch_witness", "cli_batch_seed_9302", "cli_batch_seed_5008"])
-def test_fptas_certified_result_is_within_eps_on_equality_path(text, exact):
+    (CLI_BATCH_SEED_20200_TEXT, Fraction(21, 2)),
+    (CLI_BATCH_SEED_20202_TEXT, Fraction(482, 9)),
+], ids=["equality_path", "cli_batch_witness", "cli_batch_seed_9302", "cli_batch_seed_5008",
+        "cli_batch_seed_20200", "cli_batch_seed_20202"])
+
+
+@CERTIFICATION_WITNESSES
+def test_fptas_default_is_exact_on_the_certification_witnesses(text, exact):
+    # the ball marginals certify a wrong value on each of these; the default
+    # walks the edge-order table, whose marginals are exact
     result = fptas_hol(parse_instance(text), Fraction(1, 10))
-    assert not result.certified or abs(result.value.as_fraction() / exact - 1) <= Fraction(1, 10)
+    assert result.table_states is not None and result.certified
+    assert result.value.as_fraction() == exact
+
+
+@pytest.mark.xfail(strict=True, reason="stabilization is tested against one boundary fill only; the fill "
+                                       "passes along a path of binary (dis)equalities without decay")
+@CERTIFICATION_WITNESSES
+def test_certified_ball_marginal_is_within_delta_of_gibbs(text, exact):
+    inst = parse_instance(text)
+    delta = Fraction(1, 8 * inst.q * inst.graph.m * 10)
+    dist, report = marginal_distribution(inst, 0, {}, RadiusPolicy.adaptive(delta))
+    truth = gibbs_oracle(inst).marginal(0)
+    assert not report.certified or max(abs(a - b) for a, b in zip(dist, truth)) <= delta
+
+
+# ---------------------------------------------------------------------------
+# the edge-order table
+
+
+def _steps_and_result(inst, policy=None):
+    try:
+        res = fptas_hol(inst, Fraction(1, 10), policy)
+    except HolantError as exc:
+        return type(exc), None
+    return (res.value, res.certified, res.p_min, res.flags, res.steps), res.table_states
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.one_of(differential_instances(kinds=("base", "zero_heavy")), domain_symmetric_instances(),
+                 model_instances()))
+def test_fptas_table_walk_equals_whole_graph_balls(inst):
+    # the walk's marginals are exact and recorded as whole-graph steps, so the
+    # default result equals the whole-graph result bit for bit, on lifted
+    # states too
+    got, states = _steps_and_result(inst)
+    assert got == _steps_and_result(inst, RadiusPolicy.whole_graph())[0]
+    if not isinstance(got, type):
+        assert states is not None and 0 < states <= exact.edge_order_bound(inst)
+        assert got[0] == brute_force_hol(inst)
+
+
+@pytest.mark.parametrize("graph, bound", [
+    (grid_graph(3, 5), 469), (grid_graph(8, 8), 24_565), (grid_graph(10, 10), 161_781), (grid_graph(12, 12), 966_645),
+], ids=["3x5", "8x8", "10x10", "12x12"])
+def test_edge_order_bound_of_grid_matchings(graph, bound):
+    assert exact.edge_order_bound(matchings(graph)) == bound
+
+
+def test_fptas_over_the_table_budget_runs_the_balls():
+    # shuffled edge ids make the edge-order frontier of a long path wide
+    inst = matchings(path_graph(60))
+    order = list(range(inst.graph.m))
+    random.Random(1).shuffle(order)
+    inst = HolantInstance(Graph(inst.graph.n, [inst.graph.edges[e] for e in order]), inst.q, inst.functions)
+    assert exact.edge_order_bound(inst) > exact.STATE_CAP
+    res = fptas_hol(inst, Fraction(1, 10))
+    assert res.table_states is None and res.certified
+    want = simple_dp_hol(inst).as_fraction()
+    assert abs(res.value.as_fraction() / want - 1) <= Fraction(1, 10)

@@ -18,7 +18,7 @@ import tracer
 rec = tracer.install()
 import holant
 inst = holant.build_model(holant.ModelSpec("matchings", {}), holant.grid_graph(3, 5))
-assert holant.fptas_hol(inst, Fraction(1, 10)).value == 5096
+assert holant.fptas_hol(inst, Fraction(1, 10), holant.RadiusPolicy.whole_graph()).value == 5096
 print(rec.span_table()["approx.marginal"][0])
 """
 

@@ -12,7 +12,8 @@ import holant
 from holant.cli import EXIT_EXHAUSTED, EXIT_INVALID, EXIT_OK, main, parse_graph_spec
 import holant.exact
 from holant.exact import instance_decomposition
-from holant.instancefile import parse_instance_document, serialize_instance
+from holant.instancefile import parse_instance, parse_instance_document, serialize_instance
+from holant.values import parse_value
 
 
 def run_cli(argv, stdin_text=None):
@@ -295,3 +296,67 @@ def test_oracle_conditioning_value_outside_domain_names_the_domain(cond, capsys)
     err = capsys.readouterr().err
     assert code == EXIT_INVALID
     assert f"conditioning value {cond[2:]} outside domain [2]" in err
+
+
+def _printed(out, key):
+    return next(line[len(key) + 2:] for line in out.splitlines() if line.startswith(key + ": "))
+
+
+def _matchings_of_path(n):
+    """The number of matchings of the n-vertex path: the Fibonacci number F(n + 1)."""
+    a, b = 1, 1
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return b
+
+
+def test_exact_value_longer_than_the_int_str_limit_prints_in_full():
+    # Potts on a path: each of the 199 edges multiplies by lambda + q - 1, and
+    # lambda = e^(1/5) carries a 128-bit approximant, so the value has more
+    # digits than CPython converts between int and str by default
+    text = model_text(["potts", "--graph", "path:200", "--q", "3", "--beta", "1/5"])
+    lam = parse_instance(text).functions[200].value_at((2, 0, 0))
+    want = 3 * (lam + 2) ** 199
+    code, out = run_cli(["exact", "--method", "simple"], stdin_text=text)
+    assert code == EXIT_OK
+    printed = _printed(out, "value")
+    assert len(printed) > sys.get_int_max_str_digits() and parse_value(printed) == want
+
+
+@pytest.mark.parametrize("n", [500, 3000])
+def test_approx_of_a_long_path_is_exact(n):
+    # the default walks the path's edge-order table, so the estimate is the
+    # exact count; F(3001) is past the range of a float
+    text = model_text(["matchings", "--graph", f"path:{n}"])
+    code, out = run_cli(["approx", "--eps", "1/10"], stdin_text=text)
+    assert code == EXIT_OK
+    want = _matchings_of_path(n)
+    assert parse_value(_printed(out, "value")) == want
+    assert _printed(out, "certified") == "yes"
+    assert _printed(out, "approx").replace(".", "")[:6] == str(want)[:6]
+
+
+def test_table_literal_longer_than_the_int_str_limit_parses():
+    big = "7" * 5000
+    text = f"holant 1\nq 2\nvertices 2\nedge 0 1\nfunction 0 table 1 {big}\nfunction 1 table 1 1\n"
+    code, out = run_cli(["exact", "--method", "simple"], stdin_text=text)
+    assert code == EXIT_OK
+    assert _printed(out, "value") == "7" * 4999 + "8"
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("exact", "approx", "decompose", "gate", "model", "oracle"):
+        assert name in out
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["exact", "--bogus"], ["approx"], ["gate", "potts"]],
+                         ids=["none", "unknown", "bad-option", "missing-eps", "missing-delta"])
+def test_bad_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INVALID
+    assert "error:" in capsys.readouterr().err

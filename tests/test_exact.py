@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_FRACTIONS, differential_instances, random_instance
+from conftest import differential_instances, domain_symmetric_instances, model_instances, random_instance
 from holant import (
     BooleanSymmetricFunction,
     Graph,
     HolantInstance,
     InvalidArgumentError,
+    RadiusPolicy,
     ResourceExhaustedError,
     brute_force_hol,
     builtin,
@@ -162,20 +163,6 @@ def test_simple_dp_deep_path_needs_no_recursion():
 # recursion on random instances (``conftest.differential_instances``).
 
 DIFFERENTIAL = settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@st.composite
-def model_instances(draw):
-    """Potts models and colorings on small random graphs: every relabelling of
-    the domain fixes them, so the sweep lifts its states."""
-    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    n = rng.randint(2, 4)
-    g = random_graph(n, rng.randint(1, min(n * (n - 1) // 2, 3)), seed=rng.randint(0, 10 ** 9))
-    q = draw(st.sampled_from([2, 3]))
-    if draw(st.booleans()):
-        lam = draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
-        return build_model(ModelSpec("potts", {"q": q, "lambda": lam}), g)
-    return build_model(ModelSpec("colorings", {"q": q}), g)
-
-
 def _relabelled(inst, vertex_perm, edge_order):
     """The instance with vertex v renamed vertex_perm[v] and its edges listed
     in ``edge_order``; it has the same Holant."""
@@ -227,49 +214,6 @@ def test_exact_solvers_agree_on_random_instances(inst, data):
     want = brute_force_hol(inst)
     assert simple_dp_hol(inst) == want == fpt_hol(inst, decomp) == literal_recursion_hol(inst, decomp)
     _assert_sweep_entries_agree(inst, want, data)
-
-
-def _symmetric_table(draw, q, d, partition):
-    """A table whose value depends only on the sorted counts within each block
-    of ``partition``: invariant under every relabelling inside the blocks."""
-    comps = compositions(q, d)
-    keys = [tuple(tuple(sorted(c[a] for a in block)) for block in partition) for c in comps]
-    distinct = sorted(set(keys))
-    values = draw(st.lists(st.one_of(st.just(0), SMALL_FRACTIONS), min_size=len(distinct),
-                           max_size=len(distinct)))
-    value_of = dict(zip(distinct, values))
-    return builtin("explicit_table", q, d, values=[value_of[k] for k in keys])
-
-
-@st.composite
-def domain_symmetric_instances(draw):
-    """Instances whose functions are all invariant under relabelling within the
-    blocks of one partition of the domain, drawn per instance."""
-    q = draw(st.sampled_from([2, 3, 4]))
-    max_edges = {2: 10, 3: 9, 4: 7}[q]
-    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    g = random_instance(rng, max_n=7, max_edges=max_edges, qs=(q,)).graph
-    k = draw(st.sampled_from([1, 2, q]))
-    labels = draw(st.lists(st.integers(0, k - 1), min_size=q, max_size=q))
-    partition = [tuple(a for a in range(q) if labels[a] == b) for b in sorted(set(labels))]
-    funcs = []
-    for v in range(g.n):
-        d = g.degree(v)
-        kind = draw(st.sampled_from(["potts", "colorings", "sorted", "blocks", "constant", "equality"]))
-        if kind in ("potts", "colorings"):
-            same = 0 if kind == "colorings" else draw(SMALL_FRACTIONS)
-            other = 1 if kind == "colorings" else draw(SMALL_FRACTIONS)
-            funcs.append(builtin("explicit_table", q, d,
-                                 values=[same if max(c) == d else other for c in compositions(q, d)]))
-        elif kind in ("sorted", "blocks"):
-            funcs.append(_symmetric_table(draw, q, d, [tuple(range(q))] if kind == "sorted" else partition))
-        elif kind == "constant":
-            w = draw(SMALL_FRACTIONS)
-            funcs.append(builtin("cyclic", q, d, c=1, values=[w] if q == 2 else {(0,) * q: w}))
-        else:  # weights repeat within each block
-            block_weights = draw(st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2)]), min_size=k, max_size=k))
-            funcs.append(builtin("equality", q, d, weights=[block_weights[labels[a]] for a in range(q)]))
-    return HolantInstance(g, q, funcs)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -331,6 +275,8 @@ def test_ball_sweeps_carry_one_weight_per_block(monkeypatch):
     # its weights have one entry per block: on the Potts q=10 prism, the balls
     # whose fringe fill splits the values into {0} and {1..9} sweep 2 entries;
     # on the matchings of the 3x5 grid, the balls with a trivial group sweep q
+    # (the default walks that grid's edge-order table, so the balls run here
+    # at whole-graph radius)
     seen = []
     sweep = exact._sweep
 
@@ -346,7 +292,7 @@ def test_ball_sweeps_carry_one_weight_per_block(monkeypatch):
     fptas_hol(build_model(ModelSpec("potts", {"q": 10, "beta": Fraction(1, 5)}), prism_graph()), Fraction(1, 10))
     assert ((list(range(1, 10)),), 2) in seen
     seen.clear()
-    fptas_hol(build_model(ModelSpec("matchings", {}), grid_graph(3, 5)), Fraction(1, 10))
+    fptas_hol(build_model(ModelSpec("matchings", {}), grid_graph(3, 5)), Fraction(1, 10), RadiusPolicy.whole_graph())
     assert ((), 2) in seen
 
 
