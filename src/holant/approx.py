@@ -8,9 +8,10 @@ The edge-order table (``exact.EdgeOrderTable``) serves the adaptive policy,
 the default, whenever ``exact.edge_order_bound`` is at most ``STATE_CAP``.  At
 step k the pins are exactly the edges before k, so one table of backward sums
 over the edges in id order gives every step's exact marginal, q entries per
-step.  The result is then the exact Holant.  A table step is recorded as a
-whole-graph step: r_used = radii[0] = max(1, m), no gaps, full cover, not
-stabilized.  ``ApproxResult.table_states`` counts the table's states.
+step.  The table's total decides feasibility, so this route runs no
+completion search.  The result is then the exact Holant.  A table step is
+recorded as a whole-graph step: r_used = radii[0] = max(1, m), no gaps, full
+cover, not stabilized.  ``ApproxResult.table_states`` counts the table's states.
 
 The balls serve fixed radii, ``RadiusPolicy.whole_graph()`` and instances over
 the table's budget.  A conditional edge marginal is estimated from the r-ball
@@ -376,7 +377,7 @@ def fptas_hol(
     Under the adaptive policy, the default, an instance whose
     ``edge_order_bound`` is at most ``STATE_CAP`` is walked on its
     ``EdgeOrderTable``: every marginal is exact, so the result equals the
-    Holant and is certified, and after the first feasibility search no
+    Holant and is certified.  The table's total decides feasibility, so no
     completion question is asked.  Each step records what a
     ``RadiusPolicy.whole_graph()`` step records (r_used = max(1, m), no gaps,
     full cover), and ``table_states`` counts the table's states.
@@ -396,15 +397,16 @@ def fptas_hol(
     q, m = instance.q, instance.graph.m
     if policy is None:
         policy = RadiusPolicy.adaptive()
-    completion = tractable_search(instance, {})
-    if completion is None:
-        raise InfeasibleInstanceError("instance has no feasible configuration")
-
     table = None
     if policy.mode == "adaptive" and edge_order_bound(instance) <= exact.STATE_CAP:
         table = EdgeOrderTable(instance)
+        if not table.total:
+            raise InfeasibleInstanceError("instance has no feasible configuration")
         steps, flags = _table_steps(table, m), []
     else:
+        completion = tractable_search(instance, {})
+        if completion is None:
+            raise InfeasibleInstanceError("instance has no feasible configuration")
         if policy.mode == "adaptive" and policy.delta_stab is None:
             policy = RadiusPolicy(mode="adaptive", delta_stab=eps / (8 * q * max(1, m)))
         steps, flags = _ball_steps(instance, policy, completion)

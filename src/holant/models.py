@@ -55,26 +55,25 @@ def mpf_to_fraction(x) -> Fraction:
     return Fraction(man, 1 << -exp)
 
 
-def _rational_of(name: str, x: Fraction, bits: int) -> Fraction:
-    """mpmath's ``name`` function at x, to ``bits`` bits, as an exact Fraction.
-    mpmath is imported here, on first use, since it is about a third of the
-    time ``import holant`` takes."""
+def rational_tanh(x: Fraction, bits: int = DEFAULT_APPROXIMANT_BITS) -> Fraction:
     import mpmath
 
     with mpmath.workprec(bits):
-        return mpf_to_fraction(getattr(mpmath, name)(mpmath.mpf(x.numerator) / x.denominator))
-
-
-def rational_tanh(x: Fraction, bits: int = DEFAULT_APPROXIMANT_BITS) -> Fraction:
-    return _rational_of("tanh", x, bits)
+        return mpf_to_fraction(mpmath.tanh(mpmath.mpf(x.numerator) / x.denominator))
 
 
 def rational_cosh(x: Fraction, bits: int = DEFAULT_APPROXIMANT_BITS) -> Fraction:
-    return _rational_of("cosh", x, bits)
+    import mpmath
+
+    with mpmath.workprec(bits):
+        return mpf_to_fraction(mpmath.cosh(mpmath.mpf(x.numerator) / x.denominator))
 
 
 def rational_exp(x: Fraction, bits: int = DEFAULT_APPROXIMANT_BITS) -> Fraction:
-    return _rational_of("exp", x, bits)
+    import mpmath
+
+    with mpmath.workprec(bits):
+        return mpf_to_fraction(mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))
 
 
 def _potts_edge_function(q, lam) -> SymmetricFunction:

@@ -16,6 +16,7 @@ from holant import (
     InfeasibleInstanceError,
     InvalidArgumentError,
     RadiusPolicy,
+    SymmetricFunction,
     brute_force_hol,
     builtin,
     cycle_graph,
@@ -344,15 +345,21 @@ def test_fptas_step_records():
     assert res.value == inst.weight(config) * (1 / product)
 
 
-@pytest.mark.parametrize("inst", [
+def _balls_over_budget(monkeypatch):
+    """Route the adaptive FPTAS to the balls, as for an instance whose table
+    bound is over ``STATE_CAP``."""
+    monkeypatch.setattr(approx, "edge_order_bound", lambda instance: exact.STATE_CAP + 1)
+
+
+_COMPLETION_INSTANCES = [
     matchings(grid_graph(3, 3)),
     build_model(ModelSpec("perfect_matchings", {}), cycle_graph(6)),
     build_model(ModelSpec("potts", {"q": 3, "lambda": 2}), cycle_graph(4)),
-], ids=["grid3x3-matchings", "c6-perfect-matchings", "c4-potts"])
-def test_fptas_asks_each_completion_question_once(inst, monkeypatch):
-    # the completion that shows the chosen value extends fills the next step's
-    # fringe, and it is the smallest feasible extension of the pins; when a
-    # step chooses the value it already gives the edge, it is still the answer
+]
+_COMPLETION_IDS = ["grid3x3-matchings", "c6-perfect-matchings", "c4-potts"]
+
+
+def _recorded_questions(monkeypatch):
     asked = []
     search = approx.tractable_search
 
@@ -361,9 +368,44 @@ def test_fptas_asks_each_completion_question_once(inst, monkeypatch):
         return search(instance, partial)
 
     monkeypatch.setattr(approx, "tractable_search", recording)
+    return asked
+
+
+@pytest.mark.parametrize("inst", _COMPLETION_INSTANCES, ids=_COMPLETION_IDS)
+def test_fptas_asks_each_completion_question_once(inst, monkeypatch):
+    # on the balls, the completion that shows the chosen value extends fills
+    # the next step's fringe, and it is the smallest feasible extension of the
+    # pins; when a step chooses the value it already gives the edge, it is
+    # still the answer
+    asked = _recorded_questions(monkeypatch)
+    _balls_over_budget(monkeypatch)
     res = fptas_hol(inst, Fraction(1, 10))
-    assert not res.flags
+    assert not res.flags and res.table_states is None
     assert asked == [()]
+
+
+@pytest.mark.parametrize("inst", _COMPLETION_INSTANCES, ids=_COMPLETION_IDS)
+def test_fptas_table_asks_no_completion_question(inst, monkeypatch):
+    # the table's total decides feasibility, and every value it chooses
+    # extends
+    asked = _recorded_questions(monkeypatch)
+    res = fptas_hol(inst, Fraction(1, 10))
+    assert not res.flags and res.table_states is not None
+    assert asked == []
+
+
+def test_fptas_table_total_decides_feasibility():
+    # a zero level-0 sum, and a zero vertex without an edge, are both
+    # infeasible on the table route
+    inst = build_model(ModelSpec("perfect_matchings", {}), path_graph(3))
+    assert exact.EdgeOrderTable(inst).total == 0
+    with pytest.raises(InfeasibleInstanceError):
+        fptas_hol(inst, Fraction(1, 10))
+    ones = SymmetricFunction(2, 1, [1, 1])
+    lonely = HolantInstance(Graph(3, [(0, 1)]), 2, [ones, ones, SymmetricFunction(2, 0, [0])])
+    assert exact.EdgeOrderTable(lonely).total == 0
+    with pytest.raises(InfeasibleInstanceError):
+        fptas_hol(lonely, Fraction(1, 10))
 
 
 def _fptas_record(inst, policy=None):
@@ -398,6 +440,29 @@ def test_fptas_golden_model_instances():
         for kind in MODEL_KINDS:
             h.update(_fptas_record(build_model(ModelSpec(kind, _model_params(kind, graph)), graph)).encode())
     assert h.hexdigest() == "3eb1007f330e07ee523aff01acb055d474ef8fb2f4756a4e836a236c8e324c66"
+
+
+def test_fptas_golden_random_draws_on_the_balls(monkeypatch):
+    # the same 100 draws with the table's bound over budget: the adaptive ball
+    # walk (stabilization at delta_stab = eps/(8qm), fringe fills, carried
+    # completions) must record what it recorded before the table
+    _balls_over_budget(monkeypatch)
+    rng = random.Random(9)
+    h = hashlib.sha256()
+    for _ in range(100):
+        h.update(_fptas_record(random_instance(rng)).encode())
+    assert h.hexdigest() == "52cc45cff1169da772be1a1cab18ee811f03595a762c87b3b2e3247b6f54dc95"
+
+
+def test_fptas_golden_model_instances_on_the_balls(monkeypatch):
+    # the model instances of the golden above, with the table's bound over
+    # budget, as recorded before the table
+    _balls_over_budget(monkeypatch)
+    h = hashlib.sha256()
+    for graph in (path_graph(4), cycle_graph(6), prism_graph(), grid_graph(3, 3)):
+        for kind in MODEL_KINDS:
+            h.update(_fptas_record(build_model(ModelSpec(kind, _model_params(kind, graph)), graph)).encode())
+    assert h.hexdigest() == "7d79865ea20e13e1a81a5147547eb4c1a21bdb2e03f0354b2a346be78f481e6b"
 
 
 def _ball_record(inst):
