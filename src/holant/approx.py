@@ -5,13 +5,13 @@ marginal, and divides the chosen configuration's weight by the product of the
 recorded probabilities.  Its marginals come from one of two routes.
 
 The edge-order table (``exact.EdgeOrderTable``) serves the adaptive policy,
-the default, whenever ``exact.edge_order_bound`` is at most ``STATE_CAP``.  At
-step k the pins are exactly the edges before k, so one table of backward sums
-over the edges in id order gives every step's exact marginal, q entries per
-step.  The table's total decides feasibility, so this route runs no
-completion search.  The result is then the exact Holant.  A table step is
-recorded as a whole-graph step: r_used = radii[0] = max(1, m), no gaps, full
-cover, not stabilized.  ``ApproxResult.table_states`` counts the table's states.
+the default.  At step k the pins are exactly the edges before k, so one table
+of backward sums over the edges in id order gives every step's exact
+marginal, q entries per step.  The table's total decides feasibility, so this
+route runs no completion search.  The result is then the exact Holant.  A
+table step is recorded as a whole-graph step: r_used = radii[0] = max(1, m),
+no gaps, full cover, not stabilized.  ``ApproxResult.table_states`` counts the
+table's states.  Over ``STATE_CAP`` states the build raises, and the balls run.
 
 The balls serve fixed radii, ``RadiusPolicy.whole_graph()`` and instances over
 the table's budget.  A conditional edge marginal is estimated from the r-ball
@@ -31,6 +31,7 @@ reference for the table.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -40,9 +41,9 @@ from .errors import (
     InfeasibleBoundaryError,
     InfeasibleInstanceError,
     InvalidArgumentError,
+    ResourceExhaustedError,
 )
-from . import exact
-from .exact import EdgeOrderTable, auto_hol, edge_numerators, edge_order_bound
+from .exact import EdgeOrderTable, auto_hol, edge_numerators
 from .graphcore import HolantInstance, edge_ball, restrict_instance
 from .symfun import pin
 from .values import GaussianRational, format_value
@@ -143,9 +144,7 @@ def _restricted_positive(instance, pins) -> bool:
     sub = restrict_instance(instance, pins, keep)
     if not sub.scalar:
         return False
-    # thousands of these yes/no checks run on tiny restrictions, where lifting
-    # costs more than it merges
-    return bool(auto_hol(sub.as_instance(), lifted=False))
+    return bool(auto_hol(sub.as_instance()))
 
 
 def _complete_by_checks(instance, partial):
@@ -374,13 +373,13 @@ def fptas_hol(
     pinned configuration's weight divided by the product of recorded
     probabilities.
 
-    Under the adaptive policy, the default, an instance whose
-    ``edge_order_bound`` is at most ``STATE_CAP`` is walked on its
+    Under the adaptive policy, the default, the instance is walked on its
     ``EdgeOrderTable``: every marginal is exact, so the result equals the
     Holant and is certified.  The table's total decides feasibility, so no
     completion question is asked.  Each step records what a
     ``RadiusPolicy.whole_graph()`` step records (r_used = max(1, m), no gaps,
-    full cover), and ``table_states`` counts the table's states.
+    full cover), and ``table_states`` counts the table's states.  A build
+    that passes ``STATE_CAP`` states raises, and the balls run.
 
     Fixed radii, ``whole_graph()`` and instances over the budget estimate
     each marginal on a ball (``marginal_distribution``).  The completion
@@ -398,8 +397,10 @@ def fptas_hol(
     if policy is None:
         policy = RadiusPolicy.adaptive()
     table = None
-    if policy.mode == "adaptive" and edge_order_bound(instance) <= exact.STATE_CAP:
-        table = EdgeOrderTable(instance)
+    if policy.mode == "adaptive":
+        with suppress(ResourceExhaustedError):  # over the table's budget, the balls run
+            table = EdgeOrderTable(instance)
+    if table is not None:
         if not table.total:
             raise InfeasibleInstanceError("instance has no feasible configuration")
         steps, flags = _table_steps(table, m), []

@@ -33,7 +33,7 @@ from .graphcore import (
 from .instancefile import parse_instance, serialize_instance
 from .models import ModelSpec, build_model
 from .oracle import gibbs_oracle
-from .values import format_value
+from .values import excerpt, format_value, parse_rational
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -56,9 +56,9 @@ def _rational(text: Optional[str], what: str) -> Fraction:
     if text is None:
         raise InvalidArgumentError(f"{what} is required")
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
-        raise InvalidArgumentError(f"{what}: {text!r} is not a rational number") from None
+        raise InvalidArgumentError(f"{what}: {excerpt(text)} is not a rational number") from None
 
 
 def parse_graph_spec(spec: str) -> Graph:

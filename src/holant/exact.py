@@ -16,8 +16,8 @@ more than ``STATE_CAP`` states.
 
 ``EdgeOrderTable`` serves the FPTAS walk: backward sums over the edges in id
 order, over frontier states lifted as the sweep's are, so that every step's
-exact conditional marginal is q reads.  ``edge_order_bound`` bounds its states
-before it is built.
+exact conditional marginal is q reads.  Its build raises at the first state
+past ``STATE_CAP``, counted over all its levels.
 
 The FPT solver follows the three-way recursion over a separator decomposition:
 at a node with children U1, U2 and separator S, the value Z(U, {phi_v}) is a sum
@@ -77,12 +77,12 @@ from .values import ONE, ZERO, GaussianRational, as_value
 
 DEFAULT_ENUM_CAP_BITS = 24
 ENUM_CAP_ENV = "HOLANT_ENUM_CAP"
-# The most states one sweep layer may hold.  A state holds one function per
-# vertex left; on the matchings of the 10x10 grid a state costs about 1.4 KB,
-# the layer being built included, so a full layer of a 100-vertex instance
-# takes about 370 MB.  Sweeps that finish in seconds stay far below it: the
-# 12x12 grid's matchings peak at 2^12 states, and auto_hol's bound for that
-# grid, 157,464, still sends it to the sweep rather than the slower FPT solver.
+# The most states one sweep layer, or one edge-order table in all, may hold.
+# A sweep state holds one function per vertex left; on the 10x10 grid's
+# matchings it costs about 1.4 KB, the layer being built included, so a full
+# layer of a 100-vertex instance takes about 370 MB.  Sweeps that finish in
+# seconds stay far below it: the 12x12 grid's matchings peak at 2^12 states,
+# and auto_hol's bound for that grid, 157,464, still sends it to the sweep.
 STATE_CAP = 1 << 18
 
 
@@ -433,8 +433,8 @@ def _edge_order_layout(graph):
     vertices open at level k + 1 are those of level k other than k's
     endpoints, in their order, then each endpoint that still has an edge
     after k.  Each step is (the endpoints, the position of each in the level
-    or None when k is its first edge, whether each stays open, the positions
-    the other open vertices keep, and the vertices open at level k + 1).
+    or None when k is its first edge, whether each stays open, and the
+    positions the other open vertices keep).
     """
     last = [-1] * graph.n
     for k, (u, w) in enumerate(graph.edges):
@@ -446,45 +446,8 @@ def _edge_order_layout(graph):
         stays = (last[u] > k, last[w] > k)
         keep = tuple(p for p, v in enumerate(opened) if v != u and v != w)
         opened = tuple(opened[p] for p in keep) + tuple(v for v, s in zip((u, w), stays) if s)
-        steps.append(((u, w), (pos.get(u), pos.get(w)), stays, keep, opened))
+        steps.append(((u, w), (pos.get(u), pos.get(w)), stays, keep))
     return steps
-
-
-def edge_order_bound(instance: HolantInstance) -> int:
-    """An upper bound on the states of ``EdgeOrderTable(instance)``.
-
-    It is the sum over the levels after each edge of the product, over the
-    vertices open at the level, of the number of distinct nonzero pins of f_v
-    by its decided edges: a state holds one such pin per open vertex.  The
-    distinct nonzero pins by k edges come from all compositions of k, or as
-    the nonzero pins by one edge of those by k - 1, whichever builds fewer
-    pins, so a hub never enumerates all its compositions.
-    """
-    q = instance.q
-    units = compositions(q, 1)
-    funcs = instance.functions
-    distinct = {}  # f -> its distinct nonzero pins by k edges, for k = 0, 1, ... as far as counted
-    decided = [0] * instance.graph.n
-    total = 0
-    for (u, w), _, _, _, opened in _edge_order_layout(instance.graph):
-        decided[u] += 1
-        decided[w] += 1
-        size = 1
-        for v in opened:
-            f, t = funcs[v], decided[v]
-            got = distinct.get(f)
-            if got is None:
-                got = distinct[f] = [{f}]
-            while len(got) <= t:
-                k = len(got)
-                if composition_count(q, k) <= q * len(got[-1]):
-                    found = (pin(f, c) for c in compositions(q, k))
-                else:
-                    found = (pin(g, unit) for g in got[-1] for unit in units)
-                got.append({h for h in found if not h.is_zero_function()})
-            size *= len(got[t])
-        total += size
-    return total
 
 
 def _edge_move(ends, stays, unit):
@@ -527,6 +490,10 @@ class EdgeOrderTable:
     applied, and ``walk`` carries their composition, so it reads each level
     in the values of the edges as decided.  The table is built by loops
     over the levels; no recursion grows with m.
+
+    ``states`` counts the states of the levels after each edge.  The build
+    counts them as it adds them, so that even one wide level stops at the
+    first state past ``STATE_CAP`` (``ResourceExhaustedError``).
     """
 
     def __init__(self, instance: HolantInstance):
@@ -543,8 +510,8 @@ class EdgeOrderTable:
         # at about a third of the memory of per-move tuples.
         rows = []
         level = [()]
-        self.states = 0  # over the levels after each edge, as ``edge_order_bound`` counts
-        for (u, w), (pu, pw), stays, keep, _ in _edge_order_layout(instance.graph):
+        self.states = 0
+        for k, ((u, w), (pu, pw), stays, keep) in enumerate(_edge_order_layout(instance.graph)):
             index = {}
             images = {}
             moves = {}  # (f_u, f_w) -> their move per value (``_edge_move``) and its factors
@@ -577,11 +544,14 @@ class EdgeOrderTable:
                         sigmas.append(sigma)
                     j = index.get(succ)
                     if j is None:
+                        if self.states == STATE_CAP:
+                            raise ResourceExhaustedError(f"edge-order table exceeds {STATE_CAP} states at edge {k}",
+                                                         last_attempt=STATE_CAP)
+                        self.states += 1
                         j = index[succ] = len(index)
                     succs.append(j)
             rows.append((factors, succs, sigmas))
             level = list(index)
-            self.states += len(level)
         sums = [[1] * len(level)]  # level m holds the empty state, if any
         for factors, succs, _ in reversed(rows):
             nxt = sums[-1]
@@ -661,21 +631,21 @@ def instance_decomposition(
 # ---------------------------------------------------------------------------
 # boundary-constrained sub-Holants
 
-def auto_hol(instance: HolantInstance, lifted: bool = True) -> GaussianRational:
+def auto_hol(instance: HolantInstance) -> GaussianRational:
     """Exact Holant: the simple DP's sweep, or the FPT recursion when the sweep
     could outgrow ``STATE_CAP``.
 
     The prediction is ``_predicted_layer`` of the frontier layout, a bound that
-    ignores lifting, so every sweep this runs stays under the cap.  ``lifted =
-    False`` skips lifting: on tiny instances, such as the positivity checks
-    the completion search falls back to, its bookkeeping costs more than it
-    merges.
+    ignores lifting, so every sweep this runs stays under the cap.  The
+    edge-order table's cap is on its total states, so a build over it stops
+    early; a sweep's cap is per layer, so a sweep may run long before one
+    layer reaches it, and a prediction is cheaper than a wasted sweep.
     """
     layout = _frontier_layout(instance.graph)
     if _predicted_layer(instance.q, layout) > STATE_CAP:
         decomp, _ = instance_decomposition(instance)
         return FptSolver(instance, decomp).holant()
-    return _frontier_sweep(instance, layout, [((), ONE)], _domain_blocks(instance) if lifted else None) or ZERO
+    return _frontier_sweep(instance, layout, [((), ONE)], _domain_blocks(instance)) or ZERO
 
 
 def hol_with_boundary(

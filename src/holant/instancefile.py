@@ -25,7 +25,7 @@ from .errors import InstanceParseError, InvalidArgumentError
 from .graphcore import Graph, HolantInstance
 from .models import ModelSpec
 from .symfun import SymmetricFunction, builtin, composition_count
-from .values import format_value, parse_value
+from .values import excerpt, format_value, parse_rational, parse_value
 
 FORMAT_VERSION = "1"
 
@@ -197,11 +197,11 @@ def _parse_model(tokens, line_no) -> ModelSpec:
         try:
             if "," in val:
                 items = val.removesuffix(",")
-                params[key] = [Fraction(t) for t in items.split(",")] if items else []
+                params[key] = [parse_rational(t) for t in items.split(",")] if items else []
             else:
-                params[key] = Fraction(val)
+                params[key] = parse_rational(val)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceParseError(line_no, f"bad model parameter {tok!r}: {exc}") from exc
+            raise InstanceParseError(line_no, f"bad model parameter {excerpt(tok)}: {exc}") from exc
     try:
         return ModelSpec(kind, params)
     except InvalidArgumentError as exc:
@@ -232,9 +232,9 @@ def serialize_instance(obj) -> str:
     if doc.model_spec is not None:
         parts = [doc.model_spec.kind]
         for key, val in sorted(doc.model_spec.params.items()):
-            if isinstance(val, list):
-                val = ",".join(map(str, val)) + "," * (len(val) < 2)
-            parts.append(f"{key}={val}")
+            items = val if isinstance(val, list) else [val]
+            text = ",".join(format_value(x) if isinstance(x, (int, Fraction)) else str(x) for x in items)
+            parts.append(f"{key}={text}" + "," * (isinstance(val, list) and len(val) < 2))
         lines.append("model " + " ".join(parts))
     for v in range(doc.graph.n):
         src = doc.function_sources[v]

@@ -201,6 +201,34 @@ def _parse_rational(text: str) -> Fraction:
     return -value if sign else value
 
 
+def excerpt(text: str, limit: int = 40) -> str:
+    """repr(text), cut to its first ``limit`` characters when longer."""
+    return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} characters)"
+
+
+# Fraction's string forms: a sign, then a/b or a decimal with an exponent;
+# underscores may group digits, and whitespace may surround the number
+_FRACTION_RE = _re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)|"
+                           r"(?:\.(\d*|\d+(?:_\d+)*))?(?:E([-+]?\d+(?:_\d+)*))?)\s*", _re.IGNORECASE)
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)`` with numbers of any length: the same forms, and
+    ValueError or ZeroDivisionError where ``Fraction`` raises them, with a
+    message that quotes at most a prefix of the literal."""
+    m = _FRACTION_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"invalid rational literal {excerpt(text)}")
+    sign, num, den, decimal, exp = ((g or "").replace("_", "") for g in m.groups())
+    num = _int_of_digits(num + decimal or "0")
+    den = _int_of_digits(den) if den else 10 ** len(decimal)
+    if not den:
+        raise ZeroDivisionError(f"zero denominator in {excerpt(text)}")
+    exp = int(exp or 0)
+    value = Fraction(num * 10 ** max(exp, 0), den * 10 ** max(-exp, 0))
+    return -value if sign == "-" else value
+
+
 def _format_rational(x: Fraction) -> str:
     """str(x), at any length."""
     if x.denominator == 1:
@@ -213,7 +241,7 @@ def parse_value(token: str) -> GaussianRational:
     before the sign), with numbers of any length."""
     m = _VALUE_RE.match(token.strip())
     if m is None:
-        raise InvalidArgumentError(f"malformed value {token!r}")
+        raise InvalidArgumentError(f"malformed value {excerpt(token)}")
     try:
         re_part = _parse_rational(m.group(1))
         if m.group(4) is None:
@@ -221,7 +249,7 @@ def parse_value(token: str) -> GaussianRational:
         sign = -1 if (m.group(2) or m.group(3)) == "-" else 1
         return GaussianRational(re_part, sign * _parse_rational(m.group(4)))
     except ZeroDivisionError:
-        raise InvalidArgumentError(f"zero denominator in value {token!r}") from None
+        raise InvalidArgumentError(f"zero denominator in value {excerpt(token)}") from None
 
 
 def format_value(v) -> str:

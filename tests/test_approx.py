@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from holant import (
     InfeasibleInstanceError,
     InvalidArgumentError,
     RadiusPolicy,
+    ResourceExhaustedError,
     SymmetricFunction,
     brute_force_hol,
     builtin,
@@ -347,8 +349,11 @@ def test_fptas_step_records():
 
 def _balls_over_budget(monkeypatch):
     """Route the adaptive FPTAS to the balls, as for an instance whose table
-    bound is over ``STATE_CAP``."""
-    monkeypatch.setattr(approx, "edge_order_bound", lambda instance: exact.STATE_CAP + 1)
+    build passes ``STATE_CAP`` states."""
+    def over_budget(instance):
+        raise ResourceExhaustedError("edge-order table over budget")
+
+    monkeypatch.setattr(approx, "EdgeOrderTable", over_budget)
 
 
 _COMPLETION_INSTANCES = [
@@ -443,7 +448,7 @@ def test_fptas_golden_model_instances():
 
 
 def test_fptas_golden_random_draws_on_the_balls(monkeypatch):
-    # the same 100 draws with the table's bound over budget: the adaptive ball
+    # the same 100 draws with the table build over budget: the adaptive ball
     # walk (stabilization at delta_stab = eps/(8qm), fringe fills, carried
     # completions) must record what it recorded before the table
     _balls_over_budget(monkeypatch)
@@ -455,7 +460,7 @@ def test_fptas_golden_random_draws_on_the_balls(monkeypatch):
 
 
 def test_fptas_golden_model_instances_on_the_balls(monkeypatch):
-    # the model instances of the golden above, with the table's bound over
+    # the model instances of the golden above, with the table build over
     # budget, as recorded before the table
     _balls_over_budget(monkeypatch)
     h = hashlib.sha256()
@@ -716,24 +721,37 @@ def test_fptas_table_walk_equals_whole_graph_balls(inst):
     got, states = _steps_and_result(inst)
     assert got == _steps_and_result(inst, RadiusPolicy.whole_graph())[0]
     if not isinstance(got, type):
-        assert states is not None and 0 < states <= exact.edge_order_bound(inst)
+        assert states is not None and 0 < states <= exact.STATE_CAP
         assert got[0] == brute_force_hol(inst)
 
 
-@pytest.mark.parametrize("graph, bound", [
-    (grid_graph(3, 5), 469), (grid_graph(8, 8), 24_565), (grid_graph(10, 10), 161_781), (grid_graph(12, 12), 966_645),
-], ids=["3x5", "8x8", "10x10", "12x12"])
-def test_edge_order_bound_of_grid_matchings(graph, bound):
-    assert exact.edge_order_bound(matchings(graph)) == bound
+@pytest.mark.parametrize("graph, states", [
+    (grid_graph(3, 5), 431), (grid_graph(8, 8), 24_247), (grid_graph(10, 10), 160_503),
+], ids=["3x5", "8x8", "10x10"])
+def test_edge_order_table_states_of_grid_matchings(graph, states):
+    assert exact.EdgeOrderTable(matchings(graph)).states == states
+
+
+def test_edge_order_table_stops_at_the_state_cap():
+    # the build counts its states as it adds them: a table of exactly
+    # STATE_CAP states builds, and the state after the cap raises
+    inst = matchings(grid_graph(3, 5))
+    with mock.patch.object(exact, "STATE_CAP", 431):
+        assert exact.EdgeOrderTable(inst).states == 431
+    with mock.patch.object(exact, "STATE_CAP", 430), pytest.raises(ResourceExhaustedError):
+        exact.EdgeOrderTable(inst)
+    # the 12x12 grid's matchings pass the cap about a third of the way in
+    with pytest.raises(ResourceExhaustedError):
+        exact.EdgeOrderTable(matchings(grid_graph(12, 12)))
 
 
 def test_fptas_over_the_table_budget_runs_the_balls():
-    # shuffled edge ids make the edge-order frontier of a long path wide
+    # shuffled edge ids make the edge-order frontier of a long path wide, so
+    # its table build passes STATE_CAP and the balls run
     inst = matchings(path_graph(60))
     order = list(range(inst.graph.m))
     random.Random(1).shuffle(order)
     inst = HolantInstance(Graph(inst.graph.n, [inst.graph.edges[e] for e in order]), inst.q, inst.functions)
-    assert exact.edge_order_bound(inst) > exact.STATE_CAP
     res = fptas_hol(inst, Fraction(1, 10))
     assert res.table_states is None and res.certified
     want = simple_dp_hol(inst).as_fraction()

@@ -344,6 +344,24 @@ def test_table_literal_longer_than_the_int_str_limit_parses():
     assert _printed(out, "value") == "7" * 4999 + "8"
 
 
+def test_model_parameter_longer_than_the_int_str_limit_round_trips(capsys):
+    big = "7" * 5000
+    text = model_text(["potts", "--graph", "path:3", "--q", "3", "--lambda", big])
+    assert f"\nmodel potts lambda={big} q=3\n" in text
+    doc = parse_instance_document(text)
+    assert doc.model_spec.params["lambda"] == parse_value(big)
+    assert serialize_instance(doc) == text
+    assert run_cli(["exact"], stdin_text=text)[0] == EXIT_OK
+    # a malformed literal of any length exits 2, and the message quotes only
+    # a prefix of it
+    code, _ = run_cli(["model", "potts", "--graph", "path:3", "--q", "3", "--lambda", big + "x"])
+    assert code == EXIT_INVALID
+    code, _ = run_cli(["exact"], stdin_text=text.replace(f"lambda={big}", f"lambda={big}x"))
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and len(err) < 400
+
+
 def test_top_level_help_lists_every_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

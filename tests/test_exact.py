@@ -198,13 +198,12 @@ def _assert_sweep_entries_agree(inst, want, data):
     rng.shuffle(perm)
     rng.shuffle(order)
     assert simple_dp_hol(_relabelled(inst, perm, order)) == want
-    lifted = data.draw(st.booleans())
     bound = exact._predicted_layer(inst.q, exact._frontier_layout(g))
     with mock.patch.object(exact, "STATE_CAP", bound):
-        assert auto_hol(inst, lifted=lifted) == want
+        assert auto_hol(inst) == want
     with mock.patch.object(exact, "STATE_CAP", bound - 1), \
             mock.patch.object(exact, "FptSolver", _FptRoute):
-        assert auto_hol(inst, lifted=lifted) == "fpt"
+        assert auto_hol(inst) == "fpt"
 
 
 @DIFFERENTIAL
@@ -273,9 +272,9 @@ def test_edge_numerators_equal_brute_force_on_balls(inst, data):
 def test_ball_sweeps_carry_one_weight_per_block(monkeypatch):
     # a ball's sweep starts one state per block of its domain symmetry, so
     # its weights have one entry per block: on the Potts q=10 prism, the balls
-    # whose fringe fill splits the values into {0} and {1..9} sweep 2 entries;
-    # on the matchings of the 3x5 grid, the balls with a trivial group sweep q
-    # (the default walks that grid's edge-order table, so the balls run here
+    # whose pins split the values into {0} and {1..9} sweep 2 entries; on the
+    # matchings of the 3x5 grid, the balls with a trivial group sweep q (the
+    # default walks both instances' edge-order tables, so the balls run here
     # at whole-graph radius)
     seen = []
     sweep = exact._sweep
@@ -289,7 +288,8 @@ def test_ball_sweeps_carry_one_weight_per_block(monkeypatch):
         return sweep(q, layer, lower, lift)
 
     monkeypatch.setattr(exact, "_sweep", recording)
-    fptas_hol(build_model(ModelSpec("potts", {"q": 10, "beta": Fraction(1, 5)}), prism_graph()), Fraction(1, 10))
+    fptas_hol(build_model(ModelSpec("potts", {"q": 10, "beta": Fraction(1, 5)}), prism_graph()), Fraction(1, 10),
+              RadiusPolicy.whole_graph())
     assert ((list(range(1, 10)),), 2) in seen
     seen.clear()
     fptas_hol(build_model(ModelSpec("matchings", {}), grid_graph(3, 5)), Fraction(1, 10), RadiusPolicy.whole_graph())
@@ -341,6 +341,15 @@ POTTS_Q10_CUBE = Fraction(
     "2361123060989695373633520004700806877093374369478328407203997880621183319314282844539786"
     "17907556881227114971108935697386090942963908608"
 )
+
+
+def test_fptas_walks_the_table_on_potts_q10():
+    # the lifted tables of the prism and the cube are small, so the default
+    # FPTAS walks them and returns the exact value
+    for graph, want in ((prism_graph(), POTTS_Q10_PRISM), (cube_graph(), POTTS_Q10_CUBE)):
+        res = fptas_hol(build_model(ModelSpec("potts", {"q": 10, "beta": Fraction(1, 5)}), graph), Fraction(1, 10))
+        assert res.table_states is not None and res.certified
+        assert res.value == want
 
 
 def test_lifted_work_counts_potts_q10():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from holant import GaussianRational, InvalidArgumentError, ONE, ZERO, format_value, parse_value
+from holant.values import parse_rational
 
 
 def test_arithmetic_real():
@@ -62,6 +63,30 @@ def test_parse_rejects_garbage():
     for bad in ("", "x", "1/", "1//2", "1+i", "1 + ", "i", "1/0", "1+2/0i"):
         with pytest.raises(InvalidArgumentError):
             parse_value(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "1/2", " -3/4 ", "+3", "1.5", "-1.5e-3", "1E+5", ".5", "5.", "1_000/3_0", "+.5E-0_1", "00/01",
+    "", "abc", "1/ 2", "1.5/2", "1e", "_1", "1__0", "1.d", "--1", "1/0", "0/0",
+])
+def test_parse_rational_takes_the_forms_fraction_takes(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == want
+
+
+def test_parse_rational_of_any_length():
+    big = "7" * 5000
+    assert parse_rational(f"-{big}/3") == -parse_value(big).re / 3
+    assert parse_rational(f"0.{big}") * 10 ** 5000 == parse_value(big).re
+    for bad in (big + "x", f"{big}/0"):
+        with pytest.raises((ValueError, ZeroDivisionError)) as exc:
+            parse_rational(bad)
+        assert len(str(exc.value)) < 100
 
 
 def test_format_round_trip():
