@@ -17,8 +17,8 @@ The balls serve fixed radii, ``RadiusPolicy.whole_graph()`` and instances over
 the table's budget.  A conditional edge marginal is estimated from the r-ball
 around the edge: the fringe just outside the ball is fixed to a feasible fill
 obtained from a tractable-search completion, the ball is restricted once, and
-one exact sweep over it (``exact.edge_numerators``) gives the q numerators,
-whose ratios are the estimate.  The sweep carries the edge's value in a vector
+one exact pass over it (``exact.edge_numerators``) gives the q numerators,
+whose ratios are the estimate.  The pass carries the edge's value in a vector
 of weights, one weight per block of the ball's domain symmetry, expanded to q
 numerators at the end, and merges states equal up to a domain relabelling that
 fixes every function of the ball.  Under the adaptive policy the radius
@@ -184,9 +184,9 @@ def _ball_distribution(instance, e, cond, completion, r):
     """Exact conditional distribution of edge e on the radius-r restriction.
 
     The ball keeps e: one restriction fixes the fringe and the conditioned
-    edges, and one sweep returns the numerators for every value of e at once,
+    edges, and one pass returns the numerators for every value of e at once,
     with e's value in the weights, not in the states, and the states lifted
-    over the ball's domain symmetry.  The sweep carries one weight per block
+    over the ball's domain symmetry.  The pass carries one weight per block
     of that symmetry, expanded to the q numerators at the end.
     """
     ball, fringe = edge_ball(instance.graph, e, r)

@@ -1,30 +1,37 @@
-"""Exact Holant evaluation: brute force, the sweep, and the FPT solver.
+"""Exact Holant evaluation: brute force, the edge-order pass, and the FPT solver.
 
 Brute force walks the edge configurations depth first and cuts a branch at
-the first zero factor; it shares no code with the solvers.  The sweep is one
-forward vertex-elimination loop whose layers map states to weights: one value
-each, or a vector of k values.  The simple DP and ``edge_numerators``, the
-exact engine of the FPTAS balls, share its set-up: the vertices are relabelled
-in ``graphcore.frontier_order``, so a layer's size follows the graph's vertex
-separation, not its input labels, and states are lifted over the domain
-symmetry of the instance.  ``edge_numerators`` runs it once per ball with one
-weight per block of the ball's domain symmetry: the value of the ball's edge
-lives in the weight vector, so one pass gives one numerator per block,
-expanded to the q numerators at the end.  The Z0 sub-DPs of the FPT solver
-run the sweep in their own order with one value per state.  No layer may hold
-more than ``STATE_CAP`` states.
+the first zero factor; it shares no code with the solvers.  Every other exact
+sum runs one forward DP, the edge-order pass: it decides one edge per level,
+and a level maps states, the pinned functions of the vertices with edges on
+both sides of the level (the open ones), to weights in the narrowest exact
+number type (``_narrow``): one value each, or a vector of k values.  Outside
+the Z0 sub-DPs, states are lifted over the domain symmetry of the instance.
+Its callers differ only in the edge order, the start level and what they read
+off the levels:
 
-``EdgeOrderTable`` serves the FPTAS walk: backward sums over the edges in id
-order, over frontier states lifted as the sweep's are, so that every step's
-exact conditional marginal is q reads.  Its build raises at the first state
-past ``STATE_CAP``, counted over all its levels.
+- ``simple_dp_hol`` and ``auto_hol`` take the edges in the order of
+  ``graphcore.frontier_order``, so a level's size follows the graph's vertex
+  separation, not its input labels;
+- ``edge_numerators``, the exact engine of the FPTAS balls, decides the
+  ball's edge first, one start per block of the ball's domain symmetry, so
+  the value of the edge lives in the weight vector and one pass gives one
+  numerator per block, expanded to the q numerators at the end;
+- the Z0 sub-DPs of the FPT solver take the edges of each node's core graph
+  in frontier order, laid out once per node;
+- ``EdgeOrderTable`` takes the edges in id order and records each level's
+  moves, for backward sums that give every step of the FPTAS walk its exact
+  conditional marginal in q reads.
+
+No level may hold more than ``STATE_CAP`` states, and the table no more than
+that in all its levels.
 
 The FPT solver follows the three-way recursion over a separator decomposition:
 at a node with children U1, U2 and separator S, the value Z(U, {phi_v}) is a sum
 over joint choices of peer images (one per core vertex per side) of
 Z0 * Z1 * Z2 * prod_v gtilde_v, where Z1/Z2 recurse into the children with the
 chosen peer images as boundary constraints and Z0 is a small Holant on the core
-solved by the sweep.
+solved by the pass.
 
 The solver enumerates the terms in folded form: it absorbs the core-side peer
 images into Z0 by pinning each core function with the chosen child-side
@@ -56,15 +63,14 @@ import math
 import os
 from array import array
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Mapping, Optional
 
 from .errors import InvalidArgumentError, ResourceExhaustedError
-from .graphcore import HolantInstance, frontier_order, vertex_boundary
+from .graphcore import Graph, HolantInstance, frontier_order, vertex_boundary
 from .sepdecomp import SeparatorDecomposition, find_min_width, validate
 from .symfun import (
     BooleanSymmetricFunction,
-    composition_count,
     compositions,
     pin,
     relabel,
@@ -77,12 +83,12 @@ from .values import ONE, ZERO, GaussianRational, as_value
 
 DEFAULT_ENUM_CAP_BITS = 24
 ENUM_CAP_ENV = "HOLANT_ENUM_CAP"
-# The most states one sweep layer, or one edge-order table in all, may hold.
-# A sweep state holds one function per vertex left; on the 10x10 grid's
-# matchings it costs about 1.4 KB, the layer being built included, so a full
-# layer of a 100-vertex instance takes about 370 MB.  Sweeps that finish in
-# seconds stay far below it: the 12x12 grid's matchings peak at 2^12 states,
-# and auto_hol's bound for that grid, 157,464, still sends it to the sweep.
+# The most states one level of the edge-order pass, or one edge-order table in
+# all, may hold.  A state holds the pinned functions of the open vertices only;
+# on the matchings of the 12x12 and 14x14 grids a level costs about 450-570
+# bytes per state, the level being built included, so a full level takes
+# about 150 MB.  Passes that finish in seconds stay far below it: the 12x12
+# grid's matchings peak at 2^12 states, which is auto_hol's bound for it too.
 STATE_CAP = 1 << 18
 
 
@@ -159,212 +165,186 @@ def brute_force_hol(instance: HolantInstance, cap_bits: Optional[int] = None) ->
 
 
 # ---------------------------------------------------------------------------
-# the sweep: the simple DP and the FPTAS ball numerators
+# the edge-order pass: the one exact DP
 
-def _sweep(q, layer, lower, lift=None):
-    """Eliminate vertices in descending index order, pinning lower neighbors.
+def _frontier_edges(graph, first=None):
+    """The edges of ``graph`` as endpoint pairs in the order of
+    ``graphcore.frontier_order``: by the position of the earlier endpoint,
+    then of the later one; edge ``first``, when given, goes first."""
+    pos = [0] * graph.n
+    for k, v in enumerate(frontier_order(graph)):
+        pos[v] = k
+    order = sorted(range(graph.m), key=lambda x: sorted((pos[graph.edges[x][0]], pos[graph.edges[x][1]])))
+    if first is not None:
+        order.remove(first)
+        order.insert(0, first)
+    return [graph.edges[x] for x in order]
 
-    ``lower[v]`` lists v's neighbors with a lower index (``_lower_neighbors``).
-    A state is a tuple of current (pinned, interned) functions, one per vertex
-    not yet eliminated; the function at vertex v must have arity v's degree
-    less the edges already pinned into it.  ``layer`` maps each start state to
-    its weight: one value, or a tuple of k values that are scaled and added
-    componentwise (``edge_numerators`` carries one per block).  The forward
-    sweep keeps one layer: a dict from each state to the sum of the weights of
-    the partial assignments that reach it; regularity keeps layers small.  The
-    moves of each distinct f_v are the assignments of v's lower edges whose
-    composition has a nonzero factor, so a hub expands only its live
-    compositions, not all q^d assignments.  A successor is dead, and dropped
-    at once, when a newly pinned function is identically zero.  Returns the
-    weight of the empty state, or None when no state survives.  No recursion
-    depth grows with n.  A layer that would hold more than ``STATE_CAP``
-    states raises ``ResourceExhaustedError``.
 
-    With ``lift = (groups, originals)``, where ``groups`` lists the values of
-    each block of more than one value (``_block_groups``) and every
-    relabelling within the blocks fixes each of ``originals``, the functions
-    the start states are pinned from, each successor is replaced by its image
-    under the relabelling that sorts the values of each block by their
-    profiles in the pinned entries.  A state holds every remaining function
-    and Z(F) = Z(sigma·F), so the image has the remaining sum of the state,
-    and symmetric states merge.  Entries still equal to their original are
-    fixed by every such relabelling, so only the pinned ones are profiled and
-    relabelled.  The weights are never relabelled.
+def _edge_layout(n, edges):
+    """The steps of a pass over ``edges``, endpoint pairs over n vertices, in
+    order, and the vertices without an edge.
+
+    Step k gives the vertices open after edges < k are decided, in the
+    pass's order, and how edge k moves them.  A vertex is open at level k
+    when it has edges on both sides of k.  The vertices open at level k + 1
+    are those of level k other than k's endpoints, in their order, then each
+    endpoint that still has an edge after k.  Each step is (the endpoints,
+    the position of each in the level or None when k is its first edge,
+    whether each stays open, and the positions the other open vertices keep).
     """
-    if not layer:
-        return None
+    last = [-1] * n
+    for k, (u, w) in enumerate(edges):
+        last[u] = last[w] = k
+    opened = ()
+    steps = []
+    for k, (u, w) in enumerate(edges):
+        pos = {v: p for p, v in enumerate(opened)}
+        stays = (last[u] > k, last[w] > k)
+        keep = tuple(p for p, v in enumerate(opened) if v != u and v != w)
+        opened = tuple(opened[p] for p in keep) + tuple(v for v, s in zip((u, w), stays) if s)
+        steps.append(((u, w), (pos.get(u), pos.get(w)), stays, keep))
+    return steps, tuple(v for v in range(n) if last[v] < 0)
+
+
+def _edge_move(ends, stays, units, a):
+    """The move of an edge between the functions ``ends`` to value a, whose
+    unit composition is ``units[a]``: None when it kills the state, else (the
+    factor of the endpoints it closes, the pinned functions of those that
+    stay open).  An endpoint that closes has one argument left, so its factor
+    is its table entry at a, read before any pin is made."""
+    factor = 1
+    for f, open_after in zip(ends, stays):
+        if not open_after:
+            factor *= _narrow(f.table[-1 - a])  # compositions(q, 1) lists a = q-1 first
+            if not factor:
+                return None
+    entries = []
+    for f, open_after in zip(ends, stays):
+        if open_after:
+            h = pin(f, units[a])
+            if h.is_zero_function():
+                return None
+            entries.append(h)
+    return factor, entries
+
+
+def _edge_pass(q, funcs, steps, level, groups, rows=None):
+    """Decide the edges of ``steps`` (``_edge_layout``) forward, one level at
+    a time; returns the last level.
+
+    A level maps each state, the tuple of the open vertices' functions pinned
+    by their decided edges, to its weight: the sum, over the partial
+    assignments that reach the state, of the factors of the vertices they
+    closed.  ``level`` is the first one, and ``funcs[v]`` is v's function
+    before its first edge of ``steps``.  A weight is one value, or a tuple of
+    values that are scaled and added componentwise (``edge_numerators``
+    carries one per block); sums keep the narrowest exact type
+    (``_narrow``).  Deciding an edge to value a pins its endpoints by a
+    (``_edge_move``), and a successor with an identically zero entry is
+    dropped.  No recursion grows with the number of edges.
+
+    With ``groups`` (``_block_groups``), whose relabellings fix every function
+    of ``funcs``, each successor is replaced by its image under the
+    relabelling that sorts each block's values by their profiles in the
+    successor (``_sorting_sigma``).  The relabelling keeps the sum over the
+    edges left, so symmetric states merge; weights are never relabelled.  Two
+    states meet in one successor when the edge closes a vertex, and almost
+    never otherwise, since the successor keeps every entry; so a level caches
+    the images of its successors, up to ``STATE_CAP`` of them, only when its
+    edge closes a vertex.
+
+    With ``rows`` a list, each level maps its states to their indices, not to
+    weights, and the pass appends per edge the row ``EdgeOrderTable`` reads:
+    per state its factor per value (None where the move kills the state); a
+    flat array, q entries per state, of each value's successor index (-1
+    where killed); and, when lifting, a flat list of the relabelling each
+    move applied.  Flat rows keep the table at about a third of the memory of
+    per-move tuples.
+
+    No level may hold more than ``STATE_CAP`` states; with ``rows``, no more
+    than that in all the levels after the first (``ResourceExhaustedError``).
+    """
     cap = STATE_CAP
-    n = len(next(iter(layer)))
-    vector = type(next(iter(layer.values()))) is tuple
     units = compositions(q, 1)[::-1]  # units[a]: one argument set to a
-    for v in range(n - 1, -1, -1):
-        neighbors = lower[v]
-        d = len(neighbors)
-        comps = compositions(q, d)
-        spread = {}  # composition index -> the pins of each assignment with that composition
-        live_moves = {}  # f_v -> its moves with a nonzero factor; None stands for ONE
-        images = {}  # successor -> its lifted image; successors of one layer share a length
-        nxt = {}
-        for state, weight in layer.items():
-            fv = state[v]
-            live = live_moves.get(fv)
-            if live is None:
-                if fv.d != d:
-                    raise InvalidArgumentError(f"a function of arity {fv.d} meets {d} edges at sweep vertex {v}")
-                live = []
-                for i, factor in enumerate(fv.table):
-                    if factor is ZERO or not factor:
-                        continue
-                    pins = spread.get(i)
-                    if pins is None:
-                        pins = spread[i] = _spread(neighbors, comps[i], units)
-                    factor = None if factor is ONE else factor
-                    live += [(factor, p) for p in pins]
-                live_moves[fv] = live
-            head = state[:v]
-            for factor, pins in live:
-                succ = list(head)
-                for other, unit in pins:
-                    g = pin(succ[other], unit)
-                    if g.is_zero_function():
-                        break
-                    succ[other] = g
-                else:
-                    w = weight
-                    if factor is not None:
-                        w = tuple([x if x is ZERO else factor * x for x in w]) if vector else factor * w
-                    succ = tuple(succ)
-                    if lift is not None:
-                        image = images.get(succ)
-                        if image is None:
-                            if len(images) >= cap:
-                                images.clear()
-                            image = images[succ] = _lifted_state(succ, *lift)
-                        succ = image
-                    got = nxt.get(succ)
-                    if got is not None:
-                        nxt[succ] = _vector_sum(got, w) if vector else got + w
-                    elif len(nxt) < cap:
-                        nxt[succ] = w
-                    else:
-                        raise ResourceExhaustedError(
-                            f"sweep layer exceeds {cap} states after {n - v} of {n} eliminations", last_attempt=cap)
-        layer = nxt
-    return layer.get(())
-
-
-def _spread(neighbors, comp, units):
-    """The pins of each assignment of values to the edges to ``neighbors``
-    whose composition is ``comp``, once each."""
-    d = len(neighbors)
-    if d in comp:  # one value on every edge
-        unit = units[comp.index(d)]
-        return [tuple([(u, unit) for u in neighbors])]
-    rows = [[None] * d]
-    for a, k in enumerate(comp):
-        if not k:
-            continue
-        nxt = []
-        for row in rows:
-            for places in combinations([p for p, x in enumerate(row) if x is None], k):
-                new = row[:]
-                for p in places:
-                    new[p] = a
-                nxt.append(new)
-        rows = nxt
-    return [tuple(zip(neighbors, [units[a] for a in row])) for row in rows]
-
-
-def _vector_sum(a, b):
-    """Componentwise a + b; the ZERO entries of unit vectors are skipped."""
-    return tuple([y if x is ZERO else x if y is ZERO else x + y for x, y in zip(a, b)])
-
-
-def _lifted_state(state, groups, originals):
-    """The image of ``state`` under the relabelling within the blocks that
-    ``groups`` lists (``_block_groups``) that sorts each block's values by
-    their profiles in the pinned entries."""
-    sigma = _sorting_sigma(groups, [f for f, f0 in zip(state, originals) if f is not f0])
-    if sigma is None:
-        return state
-    return tuple(f if f is f0 else relabel(f, sigma) for f, f0 in zip(state, originals))
-
-
-def _lower_neighbors(n, edges):
-    """For each of n vertices, its neighbors with a lower index, in edge order:
-    the edges the sweep pins when it eliminates the vertex."""
-    lower = [[] for _ in range(n)]
-    for u, w in edges:
-        if u < w:
-            lower[w].append(u)
+    record = rows is not None
+    vector = type(next(iter(level.values()), None)) is tuple
+    spent = 0  # the states added, in this level or, with rows, in all
+    for k, ((u, w), (pu, pw), stays, keep) in enumerate(steps):
+        if record:
+            factors, succs, sigmas = [], array("q"), None if groups is None else []
+            rows.append((factors, succs, sigmas))
         else:
-            lower[u].append(w)
-    return lower
+            spent = 0
+        moves = {}  # (f_u, f_w) -> their move per value and its factors
+        images = {}  # successor -> (its lifted image, the relabelling)
+        closes = not all(stays)
+        nxt = {}
+        for state, weight in level.items():
+            ends = (funcs[u] if pu is None else state[pu], funcs[w] if pw is None else state[pw])
+            known = moves.get(ends)
+            if known is None:
+                here = [_edge_move(ends, stays, units, a) for a in range(q)]
+                known = moves[ends] = (here, tuple(None if move is None else move[0] for move in here))
+            here, fs = known
+            if record:
+                factors.append(fs)
+            kept = [state[p] for p in keep]
+            for move in here:
+                if move is None:
+                    if record:
+                        succs.append(-1)
+                        if sigmas is not None:
+                            sigmas.append(None)
+                    continue
+                succ = tuple(kept + move[1])
+                if groups is not None:
+                    image = images.get(succ)
+                    if image is None:
+                        sigma = _sorting_sigma(groups, succ)
+                        image = (succ if sigma is None else tuple([relabel(f, sigma) for f in succ]), sigma)
+                        if closes and len(images) < cap:
+                            images[succ] = image
+                    succ, sigma = image
+                    if record:
+                        sigmas.append(sigma)
+                got = nxt.get(succ)
+                if got is None:
+                    if spent == cap:
+                        raise ResourceExhaustedError(
+                            f"edge-order pass exceeds {cap} states {'in all' if record else 'in a level'} "
+                            f"at edge {k} of {len(steps)}", last_attempt=cap)
+                    spent += 1
+                if record:
+                    if got is None:
+                        got = nxt[succ] = len(nxt)
+                    succs.append(got)
+                    continue
+                add = weight
+                factor = move[0]
+                if factor != 1:
+                    add = tuple([factor * x if x else x for x in add]) if vector else factor * add
+                if got is not None:
+                    add = tuple([x + y for x, y in zip(got, add)]) if vector else got + add
+                nxt[succ] = add
+        level = nxt
+    return level
 
 
-def _frontier_layout(graph, skip=None):
-    """``graph`` less edge ``skip``, relabelled for a sweep in ``frontier_order``.
-
-    The sweep eliminates high labels first, so the k-th vertex of the order
-    gets label n-1-k.  Returns the order, the new label of each vertex, and
-    the lower neighbors of each new label.
-    """
-    order = frontier_order(graph)
-    label = [0] * graph.n
-    for k, v in enumerate(order):
-        label[v] = graph.n - 1 - k
-    edges = [(label[u], label[w]) for x, (u, w) in enumerate(graph.edges) if x != skip]
-    return order, label, _lower_neighbors(graph.n, edges)
+def _pass_value(q, funcs, layout, groups=None):
+    """The Holant of ``funcs`` over ``layout`` (``_edge_layout``), from one
+    pass, in ``_narrow`` type."""
+    steps, edgeless = layout
+    return _edge_pass(q, funcs, steps, {(): 1}, groups).get((), 0) * _edgeless_factor(funcs, edgeless)
 
 
-def _predicted_layer(q, layout) -> int:
-    """An upper bound on the largest layer of an unlifted sweep over ``layout``.
-
-    A state's entry at a vertex is its function pinned by the vertex's swept
-    edges, which depends only on their composition; so a layer has at most the
-    product, over the vertices left, of the number of compositions of each
-    one's swept edges.
-    """
-    lower = layout[2]
-    swept = [0] * len(lower)
-    size = largest = 1
-    for v in range(len(lower) - 1, -1, -1):
-        if swept[v]:
-            size //= composition_count(q, swept[v])
-        for u in lower[v]:
-            k = swept[u]
-            size = size * (k + q) // (k + 1)  # composition_count(q, k + 1) / composition_count(q, k)
-            swept[u] = k + 1
-        if size > largest:
-            largest = size
-    return largest
-
-
-def _frontier_sweep(instance, layout, starts, blocks):
-    """The sweep of ``instance`` over ``layout`` from the given start states.
-
-    Each start is (pins, weight): pins lists (vertex, unit composition) pairs
-    pinned into the vertex's function before the sweep, and weight is the
-    start state's weight.  Starts with an identically zero pinned function are
-    dropped, and starts that meet add their weight vectors.  Unless ``blocks``
-    is None, the sweep lifts its states over the relabellings within
-    ``blocks``, which must fix every function of the instance (see
-    ``_sweep``).
-    """
-    order, label, lower = layout
-    originals = tuple(instance.functions[v] for v in reversed(order))
-    lift = None if blocks is None else (_block_groups(blocks), originals)
-    layer = {}
-    for pins, weight in starts:
-        state = list(originals)
-        for v, unit in pins:
-            state[label[v]] = pin(state[label[v]], unit)
-        if any(state[label[v]].is_zero_function() for v, _ in pins):
-            continue
-        state = tuple(state)
-        got = layer.get(state)
-        layer[state] = weight if got is None else _vector_sum(got, weight)
-    return _sweep(instance.q, layer, lower, lift)
+def _edgeless_factor(funcs, vertices):
+    """The product of the values of the functions at ``vertices``, which have
+    no edge, in ``_narrow`` type."""
+    z = 1
+    for v in vertices:
+        z *= _narrow(funcs[v].table[0])
+    return z
 
 
 def _domain_blocks(instance):
@@ -380,116 +360,154 @@ def _domain_blocks(instance):
     return blocks
 
 
-def simple_dp_hol(instance: HolantInstance) -> GaussianRational:
-    """Exact Holant by vertex elimination; equals brute_force_hol on every instance.
+def _lifting_groups(instance):
+    """``_block_groups`` of the instance's ``_domain_blocks``, or None."""
+    blocks = _domain_blocks(instance)
+    return None if blocks is None else _block_groups(blocks)
 
-    The sweep runs in ``frontier_order`` with its states lifted over the
-    domain symmetry; a layer over ``STATE_CAP`` states raises
+
+def simple_dp_hol(instance: HolantInstance) -> GaussianRational:
+    """Exact Holant by the edge-order pass; equals brute_force_hol on every
+    instance.
+
+    The pass decides the edges in frontier order, so a level's size follows
+    the graph's vertex separation, not its input labels, with its states
+    lifted over the domain symmetry; a level over ``STATE_CAP`` states raises
     ``ResourceExhaustedError``.
     """
-    layout = _frontier_layout(instance.graph)
-    return _frontier_sweep(instance, layout, [((), ONE)], _domain_blocks(instance)) or ZERO
+    g = instance.graph
+    layout = _edge_layout(g.n, _frontier_edges(g))
+    return as_value(_pass_value(instance.q, instance.functions, layout, _lifting_groups(instance)))
 
 
 def edge_numerators(instance: HolantInstance, e: int) -> list[GaussianRational]:
-    """The Holant of ``instance`` with edge e pinned to each value i, from one sweep.
+    """The Holant of ``instance`` with edge e pinned to each value i, from one
+    pass.
 
-    The sweep runs on the graph without e, in ``frontier_order``, with one
+    The pass decides e first, then the other edges in frontier order, with one
     weight per block of the instance's domain symmetry (``_domain_blocks``;
     one block per value when the group is trivial).  It starts from one state
-    per block: the functions at e's two endpoints pinned to the block's
-    smallest value, with the unit vector at the block as its weights.  The
-    value of e thus lives in the weights, not in the state, so states reached
-    under different values of e merge, and states are lifted over the
-    relabellings within the blocks.  Such a relabelling fixes every function
-    and maps e = i to e = j for any i, j of one block, so the numerator is
-    constant on each block: the final weights, one per block, are expanded to
-    the q numerators.
+    per block: e decided to the block's smallest value, with the unit vector
+    at the block, times the factor of any endpoint e closes, as its weights.
+    The value of e thus lives in the weights, not in the state, so states
+    reached under different values of e merge, and states are lifted over
+    the relabellings within the blocks.  Such a relabelling fixes every
+    function and maps e = i to e = j for any i, j of one block, so the
+    numerator is constant on each block: the final weights, one per block,
+    are expanded to the q numerators.
     """
     g = instance.graph
-    q = instance.q
+    q, funcs = instance.q, instance.functions
     if not 0 <= e < g.m:
         raise InvalidArgumentError(f"edge {e} out of range")
     blocks = _domain_blocks(instance)
     labels = range(q) if blocks is None else blocks
     reps = sorted(set(labels))  # each block's label is its smallest value
     units = compositions(q, 1)[::-1]
-    starts = [([(v, units[b]) for v in g.endpoints(e)], tuple(ONE if y == x else ZERO for y in range(len(reps))))
-              for x, b in enumerate(reps)]
-    z = _frontier_sweep(instance, _frontier_layout(g, skip=e), starts, blocks)
+    steps, edgeless = _edge_layout(g.n, _frontier_edges(g, first=e))
+    (u, w), _, stays, _ = steps[0]
+    level = {}
+    for x, b in enumerate(reps):
+        move = _edge_move((funcs[u], funcs[w]), stays, units, b)
+        if move is not None:
+            state = tuple(move[1])
+            weight = tuple(move[0] if y == x else 0 for y in range(len(reps)))
+            got = level.get(state)
+            level[state] = weight if got is None else tuple([a + c for a, c in zip(got, weight)])
+    z = _edge_pass(q, funcs, steps[1:], level, None if blocks is None else _block_groups(blocks)).get(())
     if z is None:
         return [ZERO] * q
-    return [z[reps.index(b)] for b in labels]
+    scale = _edgeless_factor(funcs, edgeless)
+    return [as_value(scale * z[reps.index(b)]) for b in labels]
+
+
+def _live_pins(f, j):
+    """How many compositions of j of f's arguments pin f to a function that is
+    not identically zero.
+
+    A relabelling within f's value blocks (``value_blocks``) maps the pins of
+    one composition to those of its image, so one composition of each orbit
+    is pinned, the one that decreases within each block, and its orbit is
+    counted whole: the product over the blocks of the multinomial of the
+    block's counts.  A wide-domain hub is thus pinned a few times, not by
+    every composition.
+    """
+    groups = _block_groups(value_blocks(f))
+    count = 0
+    for kappa in compositions(f.q, j):
+        orbit = 1
+        for values in groups:
+            counts = [kappa[a] for a in values]
+            if any(x < y for x, y in zip(counts, counts[1:])):
+                break
+            orbit *= math.factorial(len(values))
+            for c in set(counts):
+                orbit //= math.factorial(counts.count(c))
+        else:
+            if not pin(f, kappa).is_zero_function():
+                count += orbit
+    return count
+
+
+def _predicted_level(instance) -> int:
+    """An upper bound on the largest level of an unlifted pass over the edges
+    of ``instance`` in frontier order.
+
+    An open vertex's entry in a state is its function pinned by the
+    composition of its decided edges, and a state with an identically zero
+    entry is dropped, so a level holds at most the product, over its open
+    vertices, of ``_live_pins`` of each one's function and decided edges.
+    """
+    g, funcs = instance.graph, instance.functions
+    edges = _frontier_edges(g)
+    last = [-1] * g.n
+    for k, (u, w) in enumerate(edges):
+        last[u] = last[w] = k
+    decided = [0] * g.n
+    live = {}  # (f, j) -> _live_pins(f, j), at least 1
+
+    def pins(v, j):
+        key = (funcs[v], j)
+        got = live.get(key)
+        if got is None:
+            got = live[key] = max(1, _live_pins(*key))
+        return got
+
+    size = largest = 1
+    for k, ends in enumerate(edges):
+        for v in ends:
+            j = decided[v]
+            if j:
+                size //= pins(v, j)
+            decided[v] = j + 1
+            if last[v] > k:
+                size *= pins(v, j + 1)
+        largest = max(largest, size)
+    return largest
 
 
 # ---------------------------------------------------------------------------
 # the edge-order table: every conditional marginal of the FPTAS walk
 
-def _edge_order_layout(graph):
-    """Per edge k: the vertices open after edges < k are decided, in the
-    table's order, and how edge k moves them.
-
-    A vertex is open at level k when it has edges on both sides of k.  The
-    vertices open at level k + 1 are those of level k other than k's
-    endpoints, in their order, then each endpoint that still has an edge
-    after k.  Each step is (the endpoints, the position of each in the level
-    or None when k is its first edge, whether each stays open, and the
-    positions the other open vertices keep).
-    """
-    last = [-1] * graph.n
-    for k, (u, w) in enumerate(graph.edges):
-        last[u] = last[w] = k
-    opened = ()
-    steps = []
-    for k, (u, w) in enumerate(graph.edges):
-        pos = {v: p for p, v in enumerate(opened)}
-        stays = (last[u] > k, last[w] > k)
-        keep = tuple(p for p, v in enumerate(opened) if v != u and v != w)
-        opened = tuple(opened[p] for p in keep) + tuple(v for v, s in zip((u, w), stays) if s)
-        steps.append(((u, w), (pos.get(u), pos.get(w)), stays, keep))
-    return steps
-
-
-def _edge_move(ends, stays, unit):
-    """The move of an edge between the functions ``ends`` to the value of
-    ``unit``: None when it kills the state, else (the factor of the endpoints
-    it closes, the pinned functions of those that stay open)."""
-    factor = 1
-    entries = []
-    for f, open_after in zip(ends, stays):
-        h = pin(f, unit)
-        if open_after:
-            if h.is_zero_function():
-                return None
-            entries.append(h)
-        else:
-            factor *= _narrow(h.table[0])
-            if not factor:
-                return None
-    return factor, entries
-
-
 class EdgeOrderTable:
     """Backward sums over the edges in id order, one level per decided prefix.
 
-    Level k holds the states reachable once edges 0..k-1 have values: a state
-    is the tuple of the open vertices' functions pinned by their decided
-    edges (``_edge_order_layout``).  Deciding edge k = i pins its endpoints
-    by i; an endpoint whose last edge it is closes with that factor.  The
-    backward sums are B_m(()) = 1 and B_k(s) = sum_i factor_i * B_{k+1}(s + i),
-    so P(e_k = i | the values of edges < k) is proportional to factor_i *
-    B_{k+1}(s + i), for every k, from one table.  Sums keep the narrowest
-    exact type (``_narrow``); ``total`` is the Holant, B_0(()) times the
-    values of the vertices without an edge.
+    The levels are those of the edge-order pass over the edges in id order
+    (``_edge_pass``, with its rows recorded): level k holds the states
+    reachable once edges 0..k-1 have values.  Deciding edge k = i pins its
+    endpoints by i; an endpoint whose last edge it is closes with that factor.
+    The backward sums are B_m(()) = 1 and B_k(s) = sum_i factor_i *
+    B_{k+1}(s + i), so P(e_k = i | the values of edges < k) is proportional to
+    factor_i * B_{k+1}(s + i), for every k, from one table.  Sums keep the
+    narrowest exact type (``_narrow``); ``total`` is the Holant, B_0(()) times
+    the values of the vertices without an edge.
 
-    States are lifted as the sweep's are: each successor is replaced by its
-    image under the relabelling within the blocks of ``_domain_blocks`` that
-    sorts the values of each block by their profiles (``_sorting_sigma``).
-    Such a relabelling fixes every function of the instance, so it keeps the
-    sum over the edges left.  A transition records the relabelling it
-    applied, and ``walk`` carries their composition, so it reads each level
-    in the values of the edges as decided.  The table is built by loops
-    over the levels; no recursion grows with m.
+    States are lifted as the pass lifts them, over the relabellings within
+    the blocks of ``_domain_blocks``.  Such a relabelling fixes every function
+    of the instance, so it keeps the sum over the edges left.  A transition
+    records the relabelling it applied, and ``walk`` carries their
+    composition, so it reads each level in the values of the edges as decided.
+    No recursion grows with m.
 
     ``states`` counts the states of the levels after each edge.  The build
     counts them as it adds them, so that even one wide level stops at the
@@ -498,61 +516,13 @@ class EdgeOrderTable:
 
     def __init__(self, instance: HolantInstance):
         q = instance.q
-        funcs = instance.functions
-        blocks = _domain_blocks(instance)
-        groups = None if blocks is None else _block_groups(blocks)
-        units = compositions(q, 1)[::-1]  # units[a]: one argument set to a
+        g, funcs = instance.graph, instance.functions
         self.q = q
-        # per level k < m: per state, its factor per value (None where the
-        # move kills the state); a flat array, q entries per state, of each
-        # value's successor index (-1 where killed); and, when lifting, a flat
-        # list of the relabelling each move applied.  Flat rows keep the table
-        # at about a third of the memory of per-move tuples.
         rows = []
-        level = [()]
-        self.states = 0
-        for k, ((u, w), (pu, pw), stays, keep) in enumerate(_edge_order_layout(instance.graph)):
-            index = {}
-            images = {}
-            moves = {}  # (f_u, f_w) -> their move per value (``_edge_move``) and its factors
-            factors = []
-            succs = array("q")
-            sigmas = None if groups is None else []
-            for state in level:
-                ends = (funcs[u] if pu is None else state[pu], funcs[w] if pw is None else state[pw])
-                known = moves.get(ends)
-                if known is None:
-                    here = [_edge_move(ends, stays, unit) for unit in units]
-                    known = moves[ends] = (here, tuple(None if move is None else move[0] for move in here))
-                here, fs = known
-                factors.append(fs)
-                kept = [state[p] for p in keep]
-                for move in here:
-                    if move is None:
-                        succs.append(-1)
-                        if sigmas is not None:
-                            sigmas.append(None)
-                        continue
-                    succ = tuple(kept + move[1])
-                    if groups is not None:
-                        got = images.get(succ)
-                        if got is None:
-                            sigma = _sorting_sigma(groups, succ)
-                            got = images[succ] = (succ if sigma is None else tuple(relabel(f, sigma) for f in succ),
-                                                  sigma)
-                        succ, sigma = got
-                        sigmas.append(sigma)
-                    j = index.get(succ)
-                    if j is None:
-                        if self.states == STATE_CAP:
-                            raise ResourceExhaustedError(f"edge-order table exceeds {STATE_CAP} states at edge {k}",
-                                                         last_attempt=STATE_CAP)
-                        self.states += 1
-                        j = index[succ] = len(index)
-                    succs.append(j)
-            rows.append((factors, succs, sigmas))
-            level = list(index)
-        sums = [[1] * len(level)]  # level m holds the empty state, if any
+        steps, edgeless = _edge_layout(g.n, g.edges)
+        last = _edge_pass(q, funcs, steps, {(): 0}, _lifting_groups(instance), rows)
+        self.states = sum(len(factors) for factors, _, _ in rows) - 1 + len(last)  # level 0 holds ()
+        sums = [[1] * len(last)]  # level m holds the empty state, if any
         for factors, succs, _ in reversed(rows):
             nxt = sums[-1]
             out = []
@@ -569,10 +539,7 @@ class EdgeOrderTable:
         self._rows = rows
         self._sums = sums
         # the Holant: the level-0 sum times the vertices without an edge
-        self.total = sums[0][0]
-        for v in range(instance.graph.n):
-            if not instance.graph.degree(v):
-                self.total *= _narrow(funcs[v].table[0])
+        self.total = sums[0][0] * _edgeless_factor(funcs, edgeless)
 
     def walk(self, choose):
         """Decide the edges in id order: ``choose(k, numerators)`` gets the q
@@ -632,20 +599,19 @@ def instance_decomposition(
 # boundary-constrained sub-Holants
 
 def auto_hol(instance: HolantInstance) -> GaussianRational:
-    """Exact Holant: the simple DP's sweep, or the FPT recursion when the sweep
+    """Exact Holant: the simple DP's pass, or the FPT recursion when the pass
     could outgrow ``STATE_CAP``.
 
-    The prediction is ``_predicted_layer`` of the frontier layout, a bound that
-    ignores lifting, so every sweep this runs stays under the cap.  The
-    edge-order table's cap is on its total states, so a build over it stops
-    early; a sweep's cap is per layer, so a sweep may run long before one
-    layer reaches it, and a prediction is cheaper than a wasted sweep.
+    The prediction is ``_predicted_level``, a bound that ignores lifting, so
+    every pass this runs stays under the cap.  The edge-order table's cap is
+    on its total states, so a build over it stops early; a pass's cap is per
+    level, so a pass may run long before one level reaches it, and a
+    prediction is cheaper than a wasted pass.
     """
-    layout = _frontier_layout(instance.graph)
-    if _predicted_layer(instance.q, layout) > STATE_CAP:
+    if _predicted_level(instance) > STATE_CAP:
         decomp, _ = instance_decomposition(instance)
         return FptSolver(instance, decomp).holant()
-    return _frontier_sweep(instance, layout, [((), ONE)], _domain_blocks(instance)) or ZERO
+    return simple_dp_hol(instance)
 
 
 def hol_with_boundary(
@@ -691,10 +657,10 @@ class FptStats:
 
 class _NodeInfo:
     __slots__ = ("core", "roles", "d1", "d2", "bd_pos", "bd1_pos", "bd2_pos",
-                 "h0_lower", "children", "h0_order")
+                 "h0_layout", "children")
 
     def __init__(self, core, roles, d1, d2, bd_pos, bd1_pos, bd2_pos,
-                 h0_lower, children, h0_order):
+                 h0_layout, children):
         self.core = core
         self.roles = roles
         self.d1 = d1
@@ -702,9 +668,8 @@ class _NodeInfo:
         self.bd_pos = bd_pos
         self.bd1_pos = bd1_pos
         self.bd2_pos = bd2_pos
-        self.h0_lower = h0_lower
+        self.h0_layout = h0_layout
         self.children = children
-        self.h0_order = h0_order
 
 
 def _narrow(x):
@@ -778,8 +743,7 @@ class FptSolver:
         self._boundary = {}
         self._info = {}
         # computed here, not on first use, so that concurrent calls see one value
-        blocks = _domain_blocks(instance)
-        self._groups = None if blocks is None else _block_groups(blocks)
+        self._groups = _lifting_groups(instance)
         g = instance.graph
         for node in decomposition.nodes:
             self._boundary[node.id] = tuple(sorted(vertex_boundary(g, node.v_set)))
@@ -810,10 +774,6 @@ class FptSolver:
         for a, b in g.edges:
             if a in pos and b in pos and (a in s_set or b in s_set):
                 h0_edges.append((pos[a], pos[b]))
-        h0_deg = [0] * len(core)
-        for a, b in h0_edges:
-            h0_deg[a] += 1
-            h0_deg[b] += 1
         bd1_pos = tuple(i for i, v in enumerate(core) if d1[i] > 0)
         bd2_pos = tuple(i for i, v in enumerate(core) if d2[i] > 0)
         if tuple(core[i] for i in bd1_pos) != self._boundary[j] or \
@@ -821,15 +781,13 @@ class FptSolver:
             raise InvalidArgumentError(
                 f"decomposition node {node.id}: children boundaries do not match the graph"
             )
-        # eliminate low-degree H0 vertices first: hubs get low indices
-        order = sorted(range(len(core)), key=lambda i: (-h0_deg[i], i))
-        inv = {old: new for new, old in enumerate(order)}
-        h0_lower = _lower_neighbors(len(core), [(inv[a], inv[b]) for a, b in h0_edges])
+        # Z0's pass over H0, on the core positions, in frontier order
+        h0_layout = _edge_layout(len(core), _frontier_edges(Graph(len(core), h0_edges)))
         # core position -> position of the vertex's constraint in phi (None on the separator)
         bd_index = {v: i for i, v in enumerate(bd)}
         bd_pos = tuple(None if roles[i] else bd_index[v] for i, v in enumerate(core))
         return _NodeInfo(core, roles, tuple(d1), tuple(d2), bd_pos,
-                         bd1_pos, bd2_pos, h0_lower, (j, k), tuple(order))
+                         bd1_pos, bd2_pos, h0_layout, (j, k))
 
     # -- public -----------------------------------------------------------
 
@@ -931,12 +889,7 @@ class FptSolver:
         return total
 
     def _hol0_compute(self, info, h_funcs, z0_memo):
-        value = _narrow(_sweep(
-            self.instance.q,
-            {tuple([h_funcs[i] for i in info.h0_order]): ONE},
-            info.h0_lower,
-        ) or ZERO)
-        z0_memo[h_funcs] = value
+        value = z0_memo[h_funcs] = _pass_value(self.instance.q, h_funcs, info.h0_layout)
         self.stats.z0_entries += 1
         return value
 

@@ -221,7 +221,7 @@ def _far_vertex(adjacency, root: int) -> int:
 
 
 def frontier_order(graph: Graph) -> list[int]:
-    """A linear layout of the vertices with a small frontier, for a forward sweep.
+    """A linear layout of the vertices with a small frontier, for a forward pass.
 
     The frontier is the set of vertices not yet placed that are adjacent to a
     placed one.  Each component starts at a pseudo-peripheral vertex (two BFS

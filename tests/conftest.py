@@ -96,7 +96,7 @@ def differential_instances(draw, kinds=("base", "zero_heavy", "table")):
 @st.composite
 def model_instances(draw):
     """Potts models and colorings on small random graphs: every relabelling of
-    the domain fixes them, so the sweep lifts its states."""
+    the domain fixes them, so the pass lifts its states."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     n = rng.randint(2, 4)
     g = random_graph(n, rng.randint(1, min(n * (n - 1) // 2, 3)), seed=rng.randint(0, 10 ** 9))

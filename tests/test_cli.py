@@ -190,8 +190,9 @@ def test_resource_exhaustion_exit_code():
 
 
 def test_sweep_over_the_state_cap_exits_3(monkeypatch, capsys):
-    # the 8x8 grid's matchings need 2^8 states in a layer; under a cap of 64
-    # the sweep stops at the first layer past it
+    # the 8x8 grid's matchings need hundreds of states in a level of the
+    # edge-order pass; under a cap of 64 the pass stops at the first level
+    # past it
     text = model_text(["matchings", "--graph", "grid:8x8"])
     monkeypatch.setattr(holant.exact, "STATE_CAP", 64)
     t0 = time.perf_counter()
@@ -202,8 +203,8 @@ def test_sweep_over_the_state_cap_exits_3(monkeypatch, capsys):
 
 
 def test_simple_method_ignores_the_input_labels():
-    # the sweep runs in its own frontier order, so shuffled vertex labels
-    # leave the 8x8 grid's layers small
+    # the pass runs in its own frontier order, so shuffled vertex labels
+    # leave the 8x8 grid's levels small
     grid = holant.grid_graph(8, 8)
     rng = random.Random(8)
     perm = list(range(grid.n))

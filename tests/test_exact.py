@@ -185,12 +185,12 @@ class _FptRoute:
 
 
 def _assert_sweep_entries_agree(inst, want, data):
-    """The sweep's entry points on ``inst``, whose Holant is ``want``.
+    """The pass's entry points on ``inst``, whose Holant is ``want``.
 
-    simple_dp_hol orders the vertices itself, so no labelling of the input may
-    change its value.  auto_hol's prediction bounds every unlifted layer, so
-    with the cap at the bound the sweep runs and never exceeds it; one below
-    the bound, the FPT solver runs.
+    simple_dp_hol orders the edges itself, so no labelling of the input may
+    change its value.  auto_hol's prediction bounds every unlifted level of
+    the edge-order pass, so with the cap at the bound the pass runs and never
+    exceeds it; one below the bound, the FPT solver runs.
     """
     g = inst.graph
     rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -198,7 +198,7 @@ def _assert_sweep_entries_agree(inst, want, data):
     rng.shuffle(perm)
     rng.shuffle(order)
     assert simple_dp_hol(_relabelled(inst, perm, order)) == want
-    bound = exact._predicted_layer(inst.q, exact._frontier_layout(g))
+    bound = exact._predicted_level(inst)
     with mock.patch.object(exact, "STATE_CAP", bound):
         assert auto_hol(inst) == want
     with mock.patch.object(exact, "STATE_CAP", bound - 1), \
@@ -219,12 +219,12 @@ def test_exact_solvers_agree_on_random_instances(inst, data):
 @given(domain_symmetric_instances(), st.data())
 def test_lifted_memo_agrees_on_domain_symmetric_instances(inst, data):
     # lifted keys share one memo entry across relabelled sub-problems, and
-    # lifted sweep states merge symmetric partial assignments; each value must
+    # lifted pass states merge symmetric partial assignments; each value must
     # still be the brute-force one
     want = brute_force_hol(inst)
     decomp, _ = instance_decomposition(inst)
     assert simple_dp_hol(inst) == want == FptSolver(inst, decomp).holant()
-    # the pattern of a ball's numerators: one sweep gives the Holant with edge
+    # the pattern of a ball's numerators: one pass gives the Holant with edge
     # e pinned to each value
     e = data.draw(st.integers(0, inst.graph.m - 1))
     keep = [x for x in range(inst.graph.m) if x != e]
@@ -235,7 +235,7 @@ def test_lifted_memo_agrees_on_domain_symmetric_instances(inst, data):
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
 @given(st.one_of(domain_symmetric_instances(), model_instances()), st.data())
 def test_sweep_entries_agree_where_lifting_fires(inst, data):
-    # Potts models, colorings and other domain-symmetric instances: the sweep
+    # Potts models, colorings and other domain-symmetric instances: the pass
     # lifts its states, whatever labels the input gives its vertices and edges
     _assert_sweep_entries_agree(inst, brute_force_hol(inst), data)
 
@@ -252,7 +252,7 @@ def _feasible_fill(inst, drawn):
 @given(st.one_of(differential_instances(), domain_symmetric_instances()), st.data())
 def test_edge_numerators_equal_brute_force_on_balls(inst, data):
     # the FPTAS ball: restrict to the r-ball of e with the fringe fixed by a
-    # feasible fill; numerator i of the one sweep is the ball's Holant with e
+    # feasible fill; numerator i of the one pass is the ball's Holant with e
     # pinned to i
     g = inst.graph
     e = data.draw(st.integers(0, g.m - 1))
@@ -270,24 +270,24 @@ def test_edge_numerators_equal_brute_force_on_balls(inst, data):
 
 
 def test_ball_sweeps_carry_one_weight_per_block(monkeypatch):
-    # a ball's sweep starts one state per block of its domain symmetry, so
-    # its weights have one entry per block: on the Potts q=10 prism, the balls
-    # whose pins split the values into {0} and {1..9} sweep 2 entries; on the
-    # matchings of the 3x5 grid, the balls with a trivial group sweep q (the
-    # default walks both instances' edge-order tables, so the balls run here
-    # at whole-graph radius)
+    # a ball's pass starts one state per block of its domain symmetry, so its
+    # start weights have one entry per block: on the Potts q=10 prism, the
+    # balls whose pins split the values into {0} and {1..9} start with 2
+    # entries; on the matchings of the 3x5 grid, the balls with a trivial
+    # group start with q (the default walks both instances' edge-order
+    # tables, so the balls run here at whole-graph radius)
     seen = []
-    sweep = exact._sweep
+    run = exact._edge_pass
 
-    def recording(q, layer, lower, lift=None):
-        weight = next(iter(layer.values()), None)
+    def recording(q, funcs, steps, level, groups, rows=None):
+        weight = next(iter(level.values()), None)
         if type(weight) is tuple:
-            groups = () if lift is None else lift[0]
-            assert len(weight) == q - sum(len(values) - 1 for values in groups)
-            seen.append((groups, len(weight)))
-        return sweep(q, layer, lower, lift)
+            blocks = groups or ()
+            assert len(weight) == q - sum(len(values) - 1 for values in blocks)
+            seen.append((blocks, len(weight)))
+        return run(q, funcs, steps, level, groups, rows)
 
-    monkeypatch.setattr(exact, "_sweep", recording)
+    monkeypatch.setattr(exact, "_edge_pass", recording)
     fptas_hol(build_model(ModelSpec("potts", {"q": 10, "beta": Fraction(1, 5)}), prism_graph()), Fraction(1, 10),
               RadiusPolicy.whole_graph())
     assert ((list(range(1, 10)),), 2) in seen
@@ -297,15 +297,26 @@ def test_ball_sweeps_carry_one_weight_per_block(monkeypatch):
 
 
 def test_auto_hol_equals_fpt_solver_on_both_sides_of_the_cap():
-    # Potts q=10 on K4 is predicted under the cap and runs the sweep; on K5 it
-    # is predicted over it and runs the FPT solver, though the lifted sweep
+    # Potts q=10 on K4 is predicted under the cap and runs the pass; on K5 it
+    # is predicted over it and runs the FPT solver, though the lifted pass
     # still fits
     for graph, over in ((complete_graph(4), False), (complete_graph(5), True)):
         inst = build_model(ModelSpec("potts", {"q": 10, "lambda": Fraction(3, 2)}), graph)
-        bound = exact._predicted_layer(inst.q, exact._frontier_layout(inst.graph))
-        assert (bound > exact.STATE_CAP) == over
+        assert (exact._predicted_level(inst) > exact.STATE_CAP) == over
         want = FptSolver(inst, instance_decomposition(inst)[0]).holant()
         assert auto_hol(inst) == want == simple_dp_hol(inst)
+
+
+def test_auto_hol_sends_the_12x12_grid_matchings_to_the_pass():
+    # an open vertex counts only the compositions of its decided edges whose
+    # pin survives, two for a matchings vertex, so the grid's bound stays far
+    # under the cap; its decomposition would run for minutes.  A stand-in
+    # pass that ends at 7 shows the route without the second it takes.
+    inst = matchings_instance(grid_graph(12, 12))
+    assert exact._predicted_level(inst) <= exact.STATE_CAP
+    with mock.patch.object(exact, "FptSolver", _FptRoute), \
+            mock.patch.object(exact, "_edge_pass", lambda *args: {(): 7}):
+        assert auto_hol(inst) == 7
 
 
 def test_simple_dp_over_the_state_cap_raises():
@@ -355,17 +366,24 @@ def test_fptas_walks_the_table_on_potts_q10():
 def test_lifted_work_counts_potts_q10():
     # Potts q=10 is invariant under every relabelling of the domain, so the
     # lifted memo holds few entries; the values are the ones the unlifted
-    # recursion computed
-    for graph, memo_bound, terms_bound, want in (
-        (prism_graph(), 100, 1_000, POTTS_Q10_PRISM),
-        (cube_graph(), 200, 2_000, POTTS_Q10_CUBE),
+    # recursion computed, and the work counts are pinned, so that a change of
+    # the Z0 evaluator shows if it changes the recursion's work
+    for graph, counts, want in (
+        (prism_graph(), {"memo_entries": 47, "z0_entries": 74, "terms": 344}, POTTS_Q10_PRISM),
+        (cube_graph(), {"memo_entries": 117, "z0_entries": 52, "terms": 774}, POTTS_Q10_CUBE),
     ):
         inst = build_model(ModelSpec("potts", {"q": 10, "beta": Fraction(1, 5)}), graph)
         decomp, _ = instance_decomposition(inst)
         solver = FptSolver(inst, decomp)
         assert solver.holant() == want
-        assert solver.stats.memo_entries <= memo_bound
-        assert solver.stats.terms <= terms_bound
+        assert solver.stats.as_dict() == counts
+
+
+def test_fpt_work_counts_grid_matchings():
+    inst = matchings_instance(grid_graph(4, 4))
+    solver = FptSolver(inst, instance_decomposition(inst)[0])
+    assert solver.holant() == 10012
+    assert solver.stats.as_dict() == {"memo_entries": 105, "z0_entries": 81, "terms": 504}
 
 
 # ---------------------------------------------------------------------------
